@@ -35,9 +35,9 @@ from .evaluation import (
 )
 from .extraction import (
     PredictionFileError,
-    RuleExtractor,
     Token,
     detect_status_rulebased,
+    diagnose,
     extract_entities,
     extract_statements,
     load_external_predictions,
@@ -54,10 +54,7 @@ from .model import (
     Stage,
     Statement,
     Subtype,
-    max_extent,
-    max_grade,
-    max_severity,
-    max_stage,
+    join,
     validate_record,
 )
 from .normalization import (

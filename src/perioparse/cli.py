@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .corpus import (
@@ -25,11 +24,7 @@ from .corpus import (
     write_manifest,
 )
 from .evaluation import evaluate_corpus, learning_curve
-from .extraction import (
-    PredictionFileError,
-    extract_statements,
-    load_external_predictions,
-)
+from .extraction import PredictionFileError, diagnose, load_external_predictions
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
 from .model import Dimension, Statement
 from .normalization import adjudicate, classify_guideline_version, infer_status_context
@@ -45,7 +40,6 @@ from .synthesis import (
     DEFAULT_PROMPT_SECTIONS,
     PerturbationSpec,
     TemplateSelectionError,
-    apply_qa_fix,
     generate_offline,
     read_prompt_sections,
     select_seed_templates,
@@ -98,13 +92,6 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         raise UsageError(f"--ratios parts must all be positive, got {text!r}")
     total = sum(weights)
     return tuple(w / total for w in weights)
-
-
-def _map_notes(fn, notes, jobs: int):
-    if jobs <= 1:
-        return [fn(n) for n in notes]
-    with ThreadPoolExecutor(max_workers=jobs) as executor:
-        return list(executor.map(fn, notes))
 
 
 # --------------------------------------------------------------------------
@@ -177,17 +164,18 @@ def _cmd_synth(args) -> int:
             raise UsageError(str(exc)) from exc
         notes = generate_llm(templates, gen_config, sections)
 
-    def qa_check(annotated):
+    finished = []
+    failed = 0
+    for annotated in notes:
         verdict = validate_labels(annotated)
         qa = verdict_to_obj(verdict)
-        if not verdict.consistent and args.fix_labels:
-            annotated = apply_qa_fix(annotated)
-            qa["auto_fixed"] = True
-        return annotated.with_(qa=qa), verdict.consistent
-
-    checked = _map_notes(qa_check, notes, args.jobs)
-    finished = [note for note, _ in checked]
-    failed = sum(1 for note, consistent in checked if not consistent and not args.fix_labels)
+        if not verdict.consistent:
+            if args.fix_labels:
+                annotated = annotated.with_(record=verdict.extracted)
+                qa["auto_fixed"] = True
+            else:
+                failed += 1
+        finished.append(annotated.with_(qa=qa))
     write_corpus(finished, args.out)
     print(f"generated {len(finished)} notes from {len(templates)} templates")
     if failed:
@@ -220,25 +208,24 @@ def _cmd_extract(args) -> int:
             )
         predictions = load_external_predictions(args.extractor.split("=", 1)[1], notes)
 
-    def process(annotated):
-        text = annotated.note.text
+    extracted = []
+    for annotated in notes:
         if predictions is None:
-            statements = extract_statements(text, args.mode)
-            spans = tuple(s for st in statements for s in st.spans)
+            spans, record = diagnose(annotated.note.text, args.mode)
         else:
+            # External spans carry no statement structure: adjudicate them as one.
             spans = tuple(predictions.get(annotated.note.note_id, ()))
-            statements = [Statement(spans)] if spans else []
-        record = adjudicate(infer_status_context(statements))
-        guideline = classify_guideline_version(record) if record is not None else None
-        return annotated.with_(
-            spans=spans,
-            record=record,
-            annotation_source=AnnotationSource.PREDICTED,
-            guideline_version=guideline,
-            qa=None,
+            record = adjudicate(infer_status_context([Statement(spans)]))
+        extracted.append(
+            annotated.with_(
+                spans=spans,
+                record=record,
+                annotation_source=AnnotationSource.PREDICTED,
+                guideline_version=classify_guideline_version(record) if record else None,
+                qa=None,
+            )
         )
-
-    write_corpus(_map_notes(process, notes, args.jobs), args.out)
+    write_corpus(extracted, args.out)
     print(f"extracted {len(notes)} notes ({args.mode} mode)")
     return 0
 
@@ -325,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", type=int)
     p.add_argument("--per-category", type=int, default=15)
     p.add_argument("--fix-labels", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -341,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.add_argument("--mode", choices=["strict", "informal"], default="strict")
     p.add_argument("--extractor", default="builtin")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("evaluate", help="score predictions against a gold corpus")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .model import (
+    VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -24,7 +25,6 @@ from .model import (
     PeriodontalStatus,
     Stage,
     Subtype,
-    parse_enum,
     span_violations,
     validate_record,
 )
@@ -106,15 +106,6 @@ def cohort_filter(meta: PatientMeta) -> bool:
 # --------------------------------------------------------------------------
 # serialization
 
-_VALUE_CLASSES = {
-    Dimension.STATUS: PeriodontalStatus,
-    Dimension.STAGE: Stage,
-    Dimension.GRADE: Grade,
-    Dimension.EXTENT: Extent,
-    Dimension.SUBTYPE: Subtype,
-}
-
-
 def span_to_obj(span: EntitySpan) -> dict:
     return {
         "dimension": span.dimension.value,
@@ -124,13 +115,26 @@ def span_to_obj(span: EntitySpan) -> dict:
     }
 
 
-def _span_from_obj(obj: dict, text: str) -> EntitySpan:
-    dimension = parse_enum(Dimension, obj["dimension"])
-    value = parse_enum(_VALUE_CLASSES[dimension], obj["value"])
+def span_from_obj(obj: dict, text: str) -> EntitySpan:
+    """Decode one serialized span against its note text.
+
+    Offsets must lie inside the text; a ``raw_text`` field, when present,
+    must equal the slice it covers.
+    """
+    dimension = Dimension(obj["dimension"])
+    value = VALUE_CLASSES[dimension](obj["value"])
     start, end = int(obj["start"]), int(obj["end"])
     if not 0 <= start < end <= len(text):
-        raise ValueError(f"span offsets [{start},{end}) out of bounds")
-    return EntitySpan(dimension, value, start, end, text[start:end])
+        raise ValueError(
+            f"span [{start},{end}) out of bounds for note of length {len(text)}"
+        )
+    raw = text[start:end]
+    declared = obj.get("raw_text")
+    if declared is not None and declared != raw:
+        raise ValueError(
+            f"span [{start},{end}) raw_text {declared!r} does not match note text {raw!r}"
+        )
+    return EntitySpan(dimension, value, start, end, raw)
 
 
 def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
@@ -151,10 +155,10 @@ def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
 
     def opt(cls, key):
         raw = obj.get(key)
-        return parse_enum(cls, raw) if raw is not None else None
+        return cls(raw) if raw is not None else None
 
     record = DiagnosisRecord(
-        status=parse_enum(PeriodontalStatus, obj["status"]),
+        status=PeriodontalStatus(obj["status"]),
         stage=opt(Stage, "stage"),
         grade=opt(Grade, "grade"),
         extent=opt(Extent, "extent"),
@@ -213,9 +217,9 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
         note_id=obj["note_id"],
         site_id=obj["site_id"],
         text=text,
-        provenance=parse_enum(Provenance, obj["provenance"]),
+        provenance=Provenance(obj["provenance"]),
     )
-    spans = tuple(_span_from_obj(s, text) for s in obj.get("spans", []))
+    spans = tuple(span_from_obj(s, text) for s in obj.get("spans", []))
     problems = span_violations(text, list(spans))
     if problems:
         raise ValueError("; ".join(problems))
@@ -224,9 +228,9 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
         note=note,
         spans=spans,
         record=record_from_obj(obj.get("record")),
-        annotation_source=parse_enum(AnnotationSource, obj["annotation_source"]),
+        annotation_source=AnnotationSource(obj["annotation_source"]),
         meta=_meta_from_obj(obj.get("meta")),
-        guideline_version=parse_enum(GuidelineVersion, gv) if gv else None,
+        guideline_version=GuidelineVersion(gv) if gv else None,
         qa=obj.get("qa"),
     )
 

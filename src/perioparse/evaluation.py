@@ -151,19 +151,25 @@ class MetricsTable:
         raise KeyError(dimension)
 
 
+def _require_same_ids(gold_ids, pred_ids) -> None:
+    """Raise unless gold and predictions cover the same note ids."""
+    gold_ids, pred_ids = set(gold_ids), set(pred_ids)
+    if gold_ids != pred_ids:
+        missing_pred = sorted(gold_ids - pred_ids)
+        missing_gold = sorted(pred_ids - gold_ids)
+        raise ValueError(
+            f"note_id sets differ: missing from predictions {missing_pred[:5]}, "
+            f"missing from gold {missing_gold[:5]}"
+        )
+
+
 def evaluate_records(
     gold: dict[str, DiagnosisRecord | None],
     pred: dict[str, DiagnosisRecord | None],
     site: str = "site1",
 ) -> tuple[dict[Dimension, ConfusionMatrix], MetricsTable]:
     """Score aligned gold/predicted records, keyed by note id."""
-    if set(gold) != set(pred):
-        missing_pred = sorted(set(gold) - set(pred))
-        missing_gold = sorted(set(pred) - set(gold))
-        raise ValueError(
-            f"note_id sets differ: missing from predictions {missing_pred[:5]}, "
-            f"missing from gold {missing_gold[:5]}"
-        )
+    _require_same_ids(gold, pred)
     pairs: dict[Dimension, list[tuple[str, str]]] = {dim: [] for dim in DIMENSIONS}
     for note_id in gold:
         for dim, pair in compare_note(gold[note_id], pred[note_id]).items():
@@ -180,14 +186,7 @@ def evaluate_records(
 def evaluate_corpus(gold_notes, pred_notes) -> dict[str, tuple[dict, MetricsTable]]:
     """Per-site evaluation of two aligned corpora of annotated notes."""
     pred_by_id = {n.note.note_id: n.record for n in pred_notes}
-    gold_by_id = {n.note.note_id: n.record for n in gold_notes}
-    if set(gold_by_id) != set(pred_by_id):
-        missing_pred = sorted(set(gold_by_id) - set(pred_by_id))
-        missing_gold = sorted(set(pred_by_id) - set(gold_by_id))
-        raise ValueError(
-            f"note_id sets differ: missing from predictions {missing_pred[:5]}, "
-            f"missing from gold {missing_gold[:5]}"
-        )
+    _require_same_ids((n.note.note_id for n in gold_notes), pred_by_id)
     sites: dict[str, list] = {}
     for n in gold_notes:
         sites.setdefault(n.note.site_id, []).append(n)

@@ -17,28 +17,29 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Protocol
 
+from .corpus import span_from_obj
 from .model import (
+    DiagnosisRecord,
     Dimension,
     EntitySpan,
     Extent,
-    Grade,
     PeriodontalStatus,
-    Stage,
     Statement,
     Subtype,
-    parse_enum,
+    join,
 )
 from .normalization import (
     ARABIC_STAGES,
     GRADE_LETTERS,
     ROMAN_STAGES,
-    max_severity,
+    adjudicate,
+    infer_status_context,
     within_one_edit,
 )
 
-DEFAULT_ANCHORS = ("d", "dx", "diagnosis")
+# Words that, followed by ":" or "-", open a diagnosis region.
+_ANCHORS = ("d", "dx", "diagnosis")
 
 MODES = ("strict", "informal")
 
@@ -118,11 +119,6 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     preceded by stable/past/non is a subtype or negation, not a status.
     """
     found: PeriodontalStatus | None = None
-
-    def note(status: PeriodontalStatus):
-        nonlocal found
-        found = status if found is None else max_severity(found, status)
-
     for line in text.splitlines():
         low = line.lower()
         for m in re.finditer(r"periodontitis", low):
@@ -130,12 +126,12 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
             prev = re.search(r"([a-z]+)$", before)
             if prev and prev.group(1) in _STATUS_GUARDS:
                 continue
-            note(PeriodontalStatus.PERIODONTITIS)
+            found = join(found, PeriodontalStatus.PERIODONTITIS)
             break
         if "gingivitis" in low:
-            note(PeriodontalStatus.GINGIVITIS)
+            found = join(found, PeriodontalStatus.GINGIVITIS)
         if re.search(r"\bhealthy?\b", low) and _PERIO_CONTEXT.search(low):
-            note(PeriodontalStatus.HEALTH)
+            found = join(found, PeriodontalStatus.HEALTH)
     return found
 
 
@@ -385,15 +381,15 @@ def _build_statements(
     return statements
 
 
-def _find_anchor_regions(tokens: list[Token], anchors: tuple[str, ...]) -> list[int]:
+def _find_anchor_regions(tokens: list[Token]) -> list[int]:
     """Indices just past each anchor ("D" ":") within a sentence's tokens."""
     starts = []
     for i in range(len(tokens) - 1):
         low = tokens[i].text.lower()
         if len(low) <= 3:
-            hit = low in anchors
+            hit = low in _ANCHORS
         else:
-            hit = any(len(a) >= 4 and _match_word(low, a) for a in anchors)
+            hit = any(len(a) >= 4 and _match_word(low, a) for a in _ANCHORS)
         if hit and tokens[i + 1].text in (":", "-"):
             starts.append(i + 2)
     return starts
@@ -419,9 +415,7 @@ def _initial_trigger(tokens: list[Token], sentence_text: str) -> bool:
     return False
 
 
-def extract_statements(
-    text: str, mode: str = "strict", anchors: tuple[str, ...] = DEFAULT_ANCHORS
-) -> list[Statement]:
+def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     """Extract diagnosis statements with their spans and hedge flags."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -435,7 +429,7 @@ def extract_statements(
         if not tokens:
             continue
         hedged = any(cue in sentence_text.lower() for cue in _HEDGE_CUES)
-        anchor_starts = _find_anchor_regions(tokens, anchors)
+        anchor_starts = _find_anchor_regions(tokens)
         regions: list[list[Token]] = []
         if anchor_starts:
             bounds = anchor_starts + [len(tokens) + 2]
@@ -450,68 +444,28 @@ def extract_statements(
     return statements
 
 
-def extract_entities(
-    text: str, mode: str = "strict", anchors: tuple[str, ...] = DEFAULT_ANCHORS
-) -> list[EntitySpan]:
+def extract_entities(text: str, mode: str = "strict") -> list[EntitySpan]:
     """All entity spans in the note, in text order."""
     spans = [
         span
-        for statement in extract_statements(text, mode, anchors)
+        for statement in extract_statements(text, mode)
         for span in statement.spans
     ]
     spans.sort(key=lambda s: s.start)
     return spans
 
 
-class Extractor(Protocol):
-    """Anything that can turn note text into entity spans."""
-
-    def extract(self, text: str) -> list[EntitySpan]: ...
-
-
-@dataclass(frozen=True)
-class RuleExtractor:
-    """The built-in grammar extractor behind the common extractor interface."""
-
-    mode: str = "strict"
-    anchors: tuple[str, ...] = DEFAULT_ANCHORS
-
-    def extract(self, text: str) -> list[EntitySpan]:
-        return extract_entities(text, self.mode, self.anchors)
-
-    def extract_statements(self, text: str) -> list[Statement]:
-        return extract_statements(text, self.mode, self.anchors)
+def diagnose(
+    text: str, mode: str = "strict"
+) -> tuple[tuple[EntitySpan, ...], DiagnosisRecord | None]:
+    """Note text to its spans, in statement order, and its one adjudicated record."""
+    statements = extract_statements(text, mode)
+    spans = tuple(span for statement in statements for span in statement.spans)
+    return spans, adjudicate(infer_status_context(statements))
 
 
 class PredictionFileError(ValueError):
     """A prediction file failed validation against its corpus."""
-
-
-_VALUE_CLASSES = {
-    Dimension.STATUS: PeriodontalStatus,
-    Dimension.STAGE: Stage,
-    Dimension.GRADE: Grade,
-    Dimension.EXTENT: Extent,
-}
-
-
-def parse_span_obj(obj: dict, text: str) -> EntitySpan:
-    """Decode one serialized span against its note text."""
-    from .model import Subtype
-
-    dimension = parse_enum(Dimension, obj["dimension"])
-    value_cls = _VALUE_CLASSES.get(dimension, Subtype)
-    value = parse_enum(value_cls, obj["value"])
-    start, end = int(obj["start"]), int(obj["end"])
-    if start < 0 or end <= start or end > len(text):
-        raise PredictionFileError(f"span [{start},{end}) out of bounds for note of length {len(text)}")
-    raw = text[start:end]
-    declared = obj.get("raw_text")
-    if declared is not None and declared != raw:
-        raise PredictionFileError(
-            f"span [{start},{end}) raw_text {declared!r} does not match note text {raw!r}"
-        )
-    return EntitySpan(dimension, value, start, end, raw)
 
 
 def load_external_predictions(path, corpus) -> dict[str, list[EntitySpan]]:
@@ -533,8 +487,8 @@ def load_external_predictions(path, corpus) -> dict[str, list[EntitySpan]]:
             spans = []
             for raw_span in obj.get("spans", []):
                 try:
-                    spans.append(parse_span_obj(raw_span, text))
-                except (PredictionFileError, ValueError, KeyError) as exc:
+                    spans.append(span_from_obj(raw_span, text))
+                except (ValueError, KeyError, TypeError) as exc:
                     raise PredictionFileError(
                         f"{path}:{lineno}: note {note_id!r}: {exc}"
                     ) from exc

@@ -7,11 +7,13 @@ index) regardless of completion order.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from .corpus import AnnotatedNote, AnnotationSource, Note, Provenance
 from .synthesis import (
@@ -56,7 +58,9 @@ class GenerationConfig:
             raise ValueError("retry_limit must be non-negative")
 
 
-def _complete(session: requests.Session, config: GenerationConfig, api_key: str, prompt: str) -> str:
+def _complete(
+    opener: urllib.request.OpenerDirector, config: GenerationConfig, api_key: str, prompt: str
+) -> str:
     """One chat completion with retries on transport failures and 5xx."""
     body = {
         "model": config.model_name,
@@ -64,24 +68,31 @@ def _complete(session: requests.Session, config: GenerationConfig, api_key: str,
         "temperature": config.temperature,
         "top_p": config.top_p,
     }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    request = urllib.request.Request(
+        config.endpoint_url,
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+        method="POST",
+    )
     attempts = 1 + config.retry_limit
     last_error = None
     for _ in range(attempts):
         try:
-            response = session.post(
-                config.endpoint_url, json=body, headers=headers, timeout=config.request_timeout
-            )
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=config.request_timeout) as response:
+                status, payload = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            status, payload = exc.code, b""
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = str(exc)
             continue
-        if response.status_code >= 500:
-            last_error = f"HTTP {response.status_code}"
+        if status >= 500:
+            last_error = f"HTTP {status}"
             continue
-        if response.status_code != 200:
-            raise GenerationError(f"endpoint rejected request: HTTP {response.status_code}")
+        if status != 200:
+            raise GenerationError(f"endpoint rejected request: HTTP {status}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            return json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GenerationError(f"malformed completion payload: {exc}") from exc
     raise GenerationError(f"gave up after {attempts} attempts: {last_error}")
@@ -103,8 +114,8 @@ def generate_llm(
         raise ConfigurationError(
             f"API key environment variable {config.api_key_env!r} is not set"
         )
-    session = requests.Session()
-    session.trust_env = False  # endpoint comes from config, not ambient proxies
+    # The endpoint comes from config, so ambient proxy variables are ignored.
+    opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 
     jobs = [
         (template, variant)
@@ -116,7 +127,7 @@ def generate_llm(
         template, variant = job
         prompt = build_prompt(template, sections)
         try:
-            content = _complete(session, config, api_key, prompt)
+            content = _complete(opener, config, api_key, prompt)
         except GenerationError as exc:
             raise GenerationError(
                 f"template {template.note.note_id!r} variant {variant}: {exc}"

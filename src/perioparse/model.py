@@ -97,41 +97,28 @@ DIMENSIONS = (
     Dimension.SUBTYPE,
 )
 
-#: Value enum for each dimension, in canonical class order.
+#: Value enum of each dimension.
+VALUE_CLASSES = {
+    Dimension.STATUS: PeriodontalStatus,
+    Dimension.STAGE: Stage,
+    Dimension.GRADE: Grade,
+    Dimension.EXTENT: Extent,
+    Dimension.SUBTYPE: Subtype,
+}
+
+#: Value enum members of each dimension, in canonical class order
+#: (statuses from most to least severe).
 DIMENSION_VALUES = {
-    Dimension.STATUS: tuple(reversed(list(PeriodontalStatus))),
-    Dimension.STAGE: tuple(Stage),
-    Dimension.GRADE: tuple(Grade),
-    Dimension.EXTENT: tuple(Extent),
-    Dimension.SUBTYPE: tuple(Subtype),
+    dim: tuple(reversed(cls)) if dim is Dimension.STATUS else tuple(cls)
+    for dim, cls in VALUE_CLASSES.items()
 }
 
 
-def max_severity(a: PeriodontalStatus, b: PeriodontalStatus) -> PeriodontalStatus:
-    """Return the more severe of two statuses (periodontitis dominates)."""
-    return a if a >= b else b
+def join(a, b):
+    """Join of two optional values of one ordered enum; absent is the bottom element.
 
-
-def max_stage(a: Stage | None, b: Stage | None) -> Stage | None:
-    """Join of two optional stages; absent acts as the bottom element."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
-
-
-def max_grade(a: Grade | None, b: Grade | None) -> Grade | None:
-    """Join of two optional grades; absent acts as the bottom element."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
-
-
-def max_extent(a: Extent | None, b: Extent | None) -> Extent | None:
-    """Join of two optional extents; Generalized dominates Localized."""
+    The more severe status, the higher stage or grade, Generalized over Localized.
+    """
     if a is None:
         return b
     if b is None:
@@ -239,11 +226,3 @@ class Statement:
     hedged: bool = False
     start: int = 0
     end: int = 0
-
-
-def parse_enum(cls, raw: str):
-    """Strict parse of a serialized enum value ("Periodontitis", "III", ...)."""
-    for member in cls:
-        if member.value == raw:
-            return member
-    raise ValueError(f"{raw!r} is not a valid {cls.__name__}")

@@ -21,10 +21,7 @@ from .model import (
     Statement,
     Subtype,
     is_valid_record,
-    max_extent,
-    max_grade,
-    max_severity,
-    max_stage,
+    join,
 )
 
 
@@ -153,13 +150,13 @@ def statement_candidate(statement: Statement) -> DiagnosisRecord | None:
     subtypes: set[Subtype] = set()
     for span in statement.spans:
         if span.dimension is Dimension.STATUS:
-            status = span.value if status is None else max_severity(status, span.value)
+            status = join(status, span.value)
         elif span.dimension is Dimension.STAGE:
-            stage = max_stage(stage, span.value)
+            stage = join(stage, span.value)
         elif span.dimension is Dimension.GRADE:
-            grade = max_grade(grade, span.value)
+            grade = join(grade, span.value)
         elif span.dimension is Dimension.EXTENT:
-            extent = max_extent(extent, span.value)
+            extent = join(extent, span.value)
         elif span.dimension is Dimension.SUBTYPE:
             subtypes.add(span.value)
     if status is None:
@@ -191,17 +188,17 @@ def adjudicate(candidates: Sequence[DiagnosisRecord]) -> DiagnosisRecord | None:
     """
     if not candidates:
         return None
-    status = candidates[0].status
-    for c in candidates[1:]:
-        status = max_severity(status, c.status)
+    status = None
+    for c in candidates:
+        status = join(status, c.status)
     stage = grade = extent = None
     subtypes: set[Subtype] = set()
     for c in candidates:
         if c.status is not status:
             continue
-        stage = max_stage(stage, c.stage)
-        grade = max_grade(grade, c.grade)
-        extent = max_extent(extent, c.extent)
+        stage = join(stage, c.stage)
+        grade = join(grade, c.grade)
+        extent = join(extent, c.extent)
         if c.subtype is not None:
             subtypes.add(c.subtype)
     subtype = subtypes.pop() if len(subtypes) == 1 else None

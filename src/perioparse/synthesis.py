@@ -16,8 +16,15 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import AnnotatedNote, AnnotationSource, Note, Provenance, record_from_obj
-from .extraction import detect_status_rulebased, extract_statements
+from .corpus import (
+    AnnotatedNote,
+    AnnotationSource,
+    Note,
+    Provenance,
+    record_from_obj,
+    record_to_obj,
+)
+from .extraction import detect_status_rulebased, diagnose
 from .model import (
     DIMENSIONS,
     DiagnosisRecord,
@@ -28,7 +35,7 @@ from .model import (
     Subtype,
     is_valid_record,
 )
-from .normalization import adjudicate, infer_status_context, within_one_edit
+from .normalization import adjudicate, within_one_edit
 
 
 class TemplateSelectionError(ValueError):
@@ -113,9 +120,7 @@ def _template_record(annotated: AnnotatedNote, status: PeriodontalStatus) -> Dia
     """Best available embedded record agreeing with the detected category."""
     if annotated.record is not None and annotated.record.status is status:
         return annotated.record
-    derived = adjudicate(
-        infer_status_context(extract_statements(annotated.note.text, "informal"))
-    )
+    _, derived = diagnose(annotated.note.text, "informal")
     if derived is not None and derived.status is status:
         return derived
     return DiagnosisRecord(status)
@@ -180,15 +185,8 @@ _DIMENSION_TITLES = {
 
 def trailer_for_record(record: DiagnosisRecord) -> str:
     """The machine-readable label line a generated note must end with."""
-    keys = _LEGAL_TRAILER_KEYS[record.status]
-    values = {
-        "status": record.status.value,
-        "stage": record.stage.value if record.stage else None,
-        "grade": record.grade.value if record.grade else None,
-        "extent": record.extent.value if record.extent else None,
-        "subtype": record.subtype.value if record.subtype else None,
-    }
-    payload = {k: values[k] for k in keys}
+    values = record_to_obj(record)
+    payload = {k: values[k] for k in _LEGAL_TRAILER_KEYS[record.status]}
     return f"{TRAILER_PREFIX} {json.dumps(payload)}"
 
 
@@ -559,6 +557,7 @@ class Discrepancy:
 class QAVerdict:
     consistent: bool
     discrepancies: tuple[Discrepancy, ...] = ()
+    extracted: DiagnosisRecord | None = None  # the extractor's record: the fix to apply
 
 
 def validate_labels(annotated: AnnotatedNote, mode: str = "informal") -> QAVerdict:
@@ -569,16 +568,14 @@ def validate_labels(annotated: AnnotatedNote, mode: str = "informal") -> QAVerdi
     """
     if annotated.annotation_source is not AnnotationSource.EMBEDDED:
         raise ValueError("validate_labels applies to embedded-annotation notes")
-    extracted = adjudicate(
-        infer_status_context(extract_statements(annotated.note.text, mode))
-    )
+    _, extracted = diagnose(annotated.note.text, mode)
     discrepancies = []
     for dim in DIMENSIONS:
         embedded_value = annotated.record.value_for(dim) if annotated.record else None
         extracted_value = extracted.value_for(dim) if extracted else None
         if embedded_value != extracted_value:
             discrepancies.append(Discrepancy(dim, embedded_value, extracted_value))
-    return QAVerdict(not discrepancies, tuple(discrepancies))
+    return QAVerdict(not discrepancies, tuple(discrepancies), extracted)
 
 
 def verdict_to_obj(verdict: QAVerdict) -> dict:
@@ -593,11 +590,3 @@ def verdict_to_obj(verdict: QAVerdict) -> dict:
             for d in verdict.discrepancies
         ],
     }
-
-
-def apply_qa_fix(annotated: AnnotatedNote, mode: str = "informal") -> AnnotatedNote:
-    """Replace the embedded record with the cross-checker's reading of the text."""
-    fixed = adjudicate(
-        infer_status_context(extract_statements(annotated.note.text, mode))
-    )
-    return annotated.with_(record=fixed)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from perioparse.corpus import AnnotatedNote, Note
 from perioparse.extraction import (
     PredictionFileError,
-    RuleExtractor,
     detect_status_rulebased,
     extract_entities,
     extract_statements,
@@ -247,13 +246,6 @@ def test_strict_is_subset_of_informal():
             (s.dimension, s.start, s.end, s.value) for s in extract_entities(text, "informal")
         }
         assert strict <= informal, text
-
-
-def test_rule_extractor_interface():
-    extractor = RuleExtractor(mode="informal")
-    spans = extractor.extract("Generalized III B")
-    assert spans == extractor.extract("Generalized III B")  # deterministic
-    assert len(spans) == 3
 
 
 def test_invalid_mode_rejected():

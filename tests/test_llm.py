@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -184,6 +185,32 @@ def test_4xx_fails_without_retries(api_key):
         assert len(ep.bodies) == 1
     finally:
         ep.close()
+
+
+def _closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_connection_refused_fails_after_configured_retries(api_key):
+    url = f"http://127.0.0.1:{_closed_port()}/v1/chat/completions"
+    config = GenerationConfig(
+        model_name="test-model", endpoint_url=url, variants_per_template=1, retry_limit=2
+    )
+    with pytest.raises(GenerationError, match="gave up after 3 attempts"):
+        generate_llm(demo_seed_templates(1)[:1], config)
+
+
+def test_ambient_proxy_variables_are_ignored(endpoint, api_key, monkeypatch):
+    proxy = f"http://127.0.0.1:{_closed_port()}"
+    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.setenv(name, proxy)
+    for name in ("NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    notes = generate_llm(demo_seed_templates(1)[:1], config_for(endpoint, variants_per_template=2))
+    assert len(notes) == 2
+    assert len(endpoint.bodies) == 2
 
 
 def test_unparseable_trailer_keeps_note_with_blank_record(api_key):

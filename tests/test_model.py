@@ -12,10 +12,7 @@ from perioparse.model import (
     Stage,
     Subtype,
     is_valid_record,
-    max_extent,
-    max_grade,
-    max_severity,
-    max_stage,
+    join,
     span_violations,
     validate_record,
 )
@@ -29,25 +26,26 @@ P, G, H = (
 
 def test_severity_order():
     assert P > G > H
-    assert max_severity(P, G) is P
-    assert max_severity(H, H) is H
-    assert max_severity(G, H) is G
+    assert join(P, G) is P
+    assert join(H, H) is H
+    assert join(G, H) is G
 
 
 def test_max_severity_exhaustive_matches_stated_order():
     rank = {H: 0, G: 1, P: 2}
     for a, b in itertools.product(PeriodontalStatus, repeat=2):
         expected = a if rank[a] >= rank[b] else b
-        assert max_severity(a, b) is expected
-        assert max_severity(a, b) is max_severity(b, a)
+        assert join(a, b) is expected
+        assert join(a, b) is join(b, a)
 
 
 @pytest.mark.parametrize(
     "join,values",
     [
-        (max_stage, list(Stage)),
-        (max_grade, list(Grade)),
-        (max_extent, list(Extent)),
+        (join, list(Stage)),
+        (join, list(Grade)),
+        (join, list(Extent)),
+        (join, list(PeriodontalStatus)),
     ],
 )
 def test_optional_joins_are_bounded_semilattices(join, values):
@@ -62,10 +60,10 @@ def test_optional_joins_are_bounded_semilattices(join, values):
 
 
 def test_join_examples():
-    assert max_stage(Stage.II, Stage.III) is Stage.III
-    assert max_stage(None, Stage.IV) is Stage.IV
-    assert max_stage(Stage.I, Stage.I) is Stage.I
-    assert max_extent(Extent.LOCALIZED, Extent.GENERALIZED) is Extent.GENERALIZED
+    assert join(Stage.II, Stage.III) is Stage.III
+    assert join(None, Stage.IV) is Stage.IV
+    assert join(Stage.I, Stage.I) is Stage.I
+    assert join(Extent.LOCALIZED, Extent.GENERALIZED) is Extent.GENERALIZED
 
 
 def test_validate_record_examples():
