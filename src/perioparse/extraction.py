@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .corpus import span_from_obj
@@ -81,13 +82,15 @@ class Token:
     end: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, pos: int = 0, endpos: int = sys.maxsize) -> list[Token]:
     """Split text into maximal alphanumeric runs and single punctuation marks.
 
     Whitespace is never part of a token; it survives as the gaps between
-    offsets, which is what makes the tokenization reversible.
+    offsets, which is what makes the tokenization reversible. As in
+    `re.Pattern.finditer`, `pos`/`endpos` bound the scan to `text[pos:endpos]`
+    while offsets stay absolute.
     """
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text, pos, endpos)]
 
 
 def reconstruct(text: str, tokens: list[Token]) -> str:
@@ -111,6 +114,22 @@ def _match_word(token_lower: str, word: str) -> bool:
     return within_one_edit(token_lower, word)
 
 
+def _word_before(low: str, end: int) -> str:
+    """The run of a-z letters before `end`, past any spaces and hyphens.
+
+    Scanning back from `end`, not the whole prefix, keeps a line linear: the
+    gaps skipped before successive matches are disjoint, and only a guard
+    word (a short run) lets the caller go on to the next match.
+    """
+    j = end
+    while j > 0 and low[j - 1] in " -":
+        j -= 1
+    k = j
+    while k > 0 and "a" <= low[k - 1] <= "z":
+        k -= 1
+    return low[k:j]
+
+
 def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     """Keyword-based status detection used for seed-note bucketing.
 
@@ -122,9 +141,7 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     for line in text.splitlines():
         low = line.lower()
         for m in re.finditer(r"periodontitis", low):
-            before = low[: m.start()].rstrip(" -")
-            prev = re.search(r"([a-z]+)$", before)
-            if prev and prev.group(1) in _STATUS_GUARDS:
+            if _word_before(low, m.start()) in _STATUS_GUARDS:
                 continue
             found = join(found, PeriodontalStatus.PERIODONTITIS)
             break
@@ -143,7 +160,6 @@ class _Element:
     span_end: int
     first_token: int
     last_token: int
-    value_token: int  # token index carrying the value (stage numeral, etc.)
 
 
 @dataclass
@@ -218,6 +234,7 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
     elements: list[_Element] = []
     extents: list[tuple[Extent, int, Token]] = []  # (value, token index, token)
     consumed: set[int] = set()
+    stage_value_tokens: set[int] = set()
     i = 0
     while i < len(tokens):
         if i in consumed or not _is_word(tokens[i]):
@@ -232,7 +249,7 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
             consumed.update(range(i, last + 1))
             if value is not None:
                 elements.append(
-                    _Element("subtype", value, tok.start, tokens[last].end, i, last, i)
+                    _Element("subtype", value, tok.start, tokens[last].end, i, last)
                 )
             i = last + 1
             continue
@@ -252,7 +269,7 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
         ):
             status_value = PeriodontalStatus.HEALTH
         if status_value is not None:
-            elements.append(_Element("status", status_value, tok.start, tok.end, i, i, i))
+            elements.append(_Element("status", status_value, tok.start, tok.end, i, i))
             consumed.add(i)
             i += 1
             continue
@@ -264,8 +281,9 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
                 stage = ROMAN_STAGES.get(jlow) or ARABIC_STAGES.get(jlow)
                 if stage is not None:
                     elements.append(
-                        _Element("stage", stage, tokens[j].start, tokens[j].end, i, j, j)
+                        _Element("stage", stage, tokens[j].start, tokens[j].end, i, j)
                     )
+                    stage_value_tokens.add(j)
                     consumed.update((i, j))
                     i = j + 1
                     continue
@@ -276,7 +294,7 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
                 grade = GRADE_LETTERS.get(tokens[j].text.lower())
                 if grade is not None:
                     elements.append(
-                        _Element("grade", grade, tokens[j].start, tokens[j].end, i, j, j)
+                        _Element("grade", grade, tokens[j].start, tokens[j].end, i, j)
                     )
                     consumed.update((i, j))
                     i = j + 1
@@ -292,19 +310,17 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
                     and tokens[j].text in ("A", "B", "C")
                 ):
                     elements.append(
-                        _Element("stage", ROMAN_STAGES[low], tok.start, tok.end, i, i, i)
+                        _Element("stage", ROMAN_STAGES[low], tok.start, tok.end, i, i)
                     )
+                    stage_value_tokens.add(i)
                     consumed.add(i)
                     i += 1
                     continue
             # Bare grade letter trailing a stage value token.
             if tok.text in ("A", "B", "C"):
-                prev = _prev_content(tokens, i)
-                if prev is not None and any(
-                    el.kind == "stage" and el.value_token == prev for el in elements
-                ):
+                if _prev_content(tokens, i) in stage_value_tokens:
                     elements.append(
-                        _Element("grade", GRADE_LETTERS[low], tok.start, tok.end, i, i, i)
+                        _Element("grade", GRADE_LETTERS[low], tok.start, tok.end, i, i)
                     )
                     consumed.add(i)
                     i += 1
@@ -420,12 +436,12 @@ def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     informal = mode == "informal"
-    all_tokens = tokenize(text)
     statements: list[Statement] = []
     for sent in _SENTENCE_RE.finditer(text):
-        s_start, s_end = sent.start(), sent.end()
         sentence_text = sent.group()
-        tokens = [t for t in all_tokens if s_start <= t.start and t.end <= s_end]
+        # No token crosses a sentence boundary: the sentence terminators are
+        # neither word characters nor part of a multi-character token.
+        tokens = tokenize(text, sent.start(), sent.end())
         if not tokens:
             continue
         hedged = any(cue in sentence_text.lower() for cue in _HEDGE_CUES)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 class _OrderedEnum(enum.Enum):
     """Enum whose members are totally ordered by definition order (ascending)."""
 
-    @property
-    def rank(self) -> int:
-        return list(type(self)).index(self)
+    def __init__(self, *args):
+        # Members are created in definition order, each before it joins
+        # __members__, so the count so far is this member's index.
+        self.rank = len(type(self).__members__)
 
     def __lt__(self, other):
         if type(self) is type(other):

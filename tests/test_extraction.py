@@ -1,13 +1,20 @@
+import dataclasses
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_detect_status_rulebased
 
 from perioparse.corpus import AnnotatedNote, Note
+from perioparse.demo import demo_seed_templates
 from perioparse.extraction import (
+    _SENTENCE_RE,
+    MODES,
     PredictionFileError,
     detect_status_rulebased,
+    diagnose,
     extract_entities,
     extract_statements,
     load_external_predictions,
@@ -23,6 +30,7 @@ from perioparse.model import (
     Subtype,
     span_violations,
 )
+from perioparse.synthesis import PerturbationSpec, generate_offline
 
 P, G, H = (
     PeriodontalStatus.PERIODONTITIS,
@@ -72,6 +80,20 @@ def test_tokenizer_round_trip_property(text):
         assert text[tok.start : tok.end] == tok.text
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(max_size=200),
+        st.text(alphabet="Stage IIB_9é.!?\n\t-:", max_size=200),
+    )
+)
+def test_sentence_tokenize_matches_filtered_whole_note_tokens(text):
+    all_tokens = tokenize(text)
+    for sent in _SENTENCE_RE.finditer(text):
+        s, e = sent.start(), sent.end()
+        assert tokenize(text, s, e) == [t for t in all_tokens if s <= t.start and t.end <= e]
+
+
 def test_no_character_in_two_tokens():
     tokens = tokenize("a,b  c..d e")
     covered = []
@@ -100,6 +122,24 @@ def test_detector_health_needs_periodontal_context():
     assert detect_status_rulebased("patient in good general health") is None
     assert detect_status_rulebased("gingival health maintained") is H
     assert detect_status_rulebased("healthy periodontium observed") is H
+
+
+_DETECTOR_PIECES = (
+    "non", "Non", "past", "stable", "unstable", "nonstable", "periodontitis",
+    "Periodontitis", "periodontitisnon", "gingivitis", "healthy", "health",
+    "gingival", "x", "é", "İ", " ", "-", " - ", "\n", "\r\n",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.one_of(
+        st.lists(st.sampled_from(_DETECTOR_PIECES), max_size=20).map("".join),
+        st.text(max_size=80),
+    )
+)
+def test_detector_matches_quadratic_oracle(text):
+    assert detect_status_rulebased(text) is oracle_detect_status_rulebased(text)
 
 
 def test_detector_subtype_periodontitis_is_not_a_status():
@@ -246,6 +286,48 @@ def test_strict_is_subset_of_informal():
             (s.dimension, s.start, s.end, s.value) for s in extract_entities(text, "informal")
         }
         assert strict <= informal, text
+
+
+_OFFLINE_TEXTS = [
+    n.note.text
+    for spec in (
+        PerturbationSpec(),
+        PerturbationSpec(0.3, 0.3, 0.3, 0.3, 0.3, rng_seed=7),
+    )
+    for n in generate_offline(demo_seed_templates(), 2, spec)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.sampled_from(_OFFLINE_TEXTS), min_size=1, max_size=6),
+    mode=st.sampled_from(MODES),
+)
+def test_joined_notes_yield_each_notes_spans_shifted(parts, mode):
+    expected = []
+    offset = 0
+    for part in parts:
+        spans, _ = diagnose(part, mode)
+        expected.extend(
+            dataclasses.replace(s, start=s.start + offset, end=s.end + offset) for s in spans
+        )
+        offset += len(part) + 1
+    spans, _ = diagnose("\n".join(parts), mode)
+    assert list(spans) == expected
+
+
+def test_hostile_long_inputs_stay_linear():
+    # Each input took 10-18 s on a 2-core VM while these paths were quadratic.
+    cases = [
+        (lambda: extract_statements("Stage III B " * 12000, "informal"), 12000),
+        (lambda: extract_statements("Stage III B. " * 8000, "strict"), 8000),
+        (lambda: detect_status_rulebased("non periodontitis " * 4000), None),
+    ]
+    for run, expected in cases:
+        start = time.monotonic()
+        result = run()
+        assert time.monotonic() - start < 2.0
+        assert (result if expected is None else len(result)) == expected
 
 
 def test_invalid_mode_rejected():

@@ -31,6 +31,11 @@ def test_severity_order():
     assert join(G, H) is G
 
 
+def test_rank_is_definition_index():
+    for cls in (PeriodontalStatus, Stage, Grade, Extent):
+        assert [m.rank for m in cls] == list(range(len(cls)))
+
+
 def test_max_severity_exhaustive_matches_stated_order():
     rank = {H: 0, G: 1, P: 2}
     for a, b in itertools.product(PeriodontalStatus, repeat=2):
