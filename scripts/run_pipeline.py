@@ -14,13 +14,20 @@ from pathlib import Path
 from perioparse.cli import main as cli
 from perioparse.corpus import write_corpus
 from perioparse.demo import demo_seed_notes
+from perioparse.synthesis import PERTURBATION_RATES
 
 
 def run(argv: list) -> None:
-    code = cli([str(a) for a in argv])
+    argv = [str(a) for a in argv]
     # synth exits 1 for label-QA findings, which the perturbed corpus is
-    # expected to have; for every other step 1 is a data error.
-    if code != 0 and not (argv[0] == "synth" and code == 1):
+    # expected to have, and writes its corpus before it reports them; on bad
+    # input it exits 1 without writing one. For every other step 1 is a data
+    # error.
+    out = Path(argv[argv.index("--out") + 1]) if argv[0] == "synth" else None
+    if out is not None:
+        out.unlink(missing_ok=True)
+    code = cli(argv)
+    if code != 0 and not (code == 1 and out is not None and out.exists()):
         raise SystemExit(f"step {argv[0]} failed with exit code {code}")
 
 
@@ -52,16 +59,7 @@ def main() -> int:
 
     perturb_cfg = out / "perturb.cfg"
     perturb_cfg.write_text(
-        "".join(
-            f"{key} = {args.rate}\n"
-            for key in (
-                "typo_rate",
-                "informal_format_rate",
-                "anchor_variation_rate",
-                "multi_diagnosis_rate",
-                "distractor_extent_rate",
-            )
-        ),
+        "".join(f"{key} = {args.rate}\n" for key in PERTURBATION_RATES),
         encoding="utf-8",
     )
     perturbed = out / "perturbed.jsonl"

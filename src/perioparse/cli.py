@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .corpus import (
@@ -38,6 +39,7 @@ from .reporting import (
 )
 from .synthesis import (
     DEFAULT_PROMPT_SECTIONS,
+    PERTURBATION_RATES,
     PerturbationSpec,
     TemplateSelectionError,
     generate_offline,
@@ -53,13 +55,9 @@ class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-_RATE_KEYS = (
-    "typo_rate",
-    "informal_format_rate",
-    "anchor_variation_rate",
-    "multi_diagnosis_rate",
-    "distractor_extent_rate",
-)
+# Config keys of the online generation settings; the rest of the config is
+# for prompts, variants and perturbation rates.
+_GENERATION_KEYS = ("temperature", "top_p", "max_concurrent_requests", "retry_limit", "api_key_env")
 
 
 def read_config(path) -> dict[str, str]:
@@ -136,10 +134,7 @@ def _cmd_synth(args) -> int:
     if args.offline:
         if args.seed is None:
             raise UsageError("--seed is required for offline generation")
-        rates = {}
-        for key in _RATE_KEYS:
-            if key in config:
-                rates[key] = float(config[key])
+        rates = {key: float(config[key]) for key in PERTURBATION_RATES if key in config}
         try:
             perturb = PerturbationSpec(rng_seed=args.seed, **rates)
         except ValueError as exc:
@@ -149,16 +144,14 @@ def _cmd_synth(args) -> int:
         for key in ("model_name", "endpoint_url"):
             if key not in config:
                 raise UsageError(f"--online requires {key!r} in the config file")
+        types = typing.get_type_hints(GenerationConfig)
         try:
+            settings = {key: types[key](config[key]) for key in _GENERATION_KEYS if key in config}
             gen_config = GenerationConfig(
                 model_name=config["model_name"],
                 endpoint_url=config["endpoint_url"],
                 variants_per_template=variants,
-                temperature=float(config.get("temperature", 1.0)),
-                top_p=float(config.get("top_p", 1.0)),
-                max_concurrent_requests=int(config.get("max_concurrent_requests", 4)),
-                retry_limit=int(config.get("retry_limit", 3)),
-                api_key_env=config.get("api_key_env", "OPENAI_API_KEY"),
+                **settings,
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc

@@ -16,15 +16,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .model import (
+    DIMENSIONS,
+    FIELD_NAMES,
     VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
-    Extent,
-    Grade,
     PeriodontalStatus,
-    Stage,
-    Subtype,
     span_violations,
     validate_record,
 )
@@ -140,30 +138,25 @@ def span_from_obj(obj: dict, text: str) -> EntitySpan:
 def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
     if record is None:
         return None
-    return {
-        "status": record.status.value,
-        "stage": record.stage.value if record.stage else None,
-        "grade": record.grade.value if record.grade else None,
-        "extent": record.extent.value if record.extent else None,
-        "subtype": record.subtype.value if record.subtype else None,
-    }
+    obj = {}
+    for name in FIELD_NAMES.values():
+        value = getattr(record, name)
+        obj[name] = value.value if value is not None else None
+    return obj
+
+
+# (field name, value enum) of each optional record field, in field order.
+_OPTIONAL_FIELDS = tuple((FIELD_NAMES[dim], VALUE_CLASSES[dim]) for dim in DIMENSIONS[1:])
 
 
 def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
     if obj is None:
         return None
-
-    def opt(cls, key):
-        raw = obj.get(key)
-        return cls(raw) if raw is not None else None
-
-    record = DiagnosisRecord(
-        status=PeriodontalStatus(obj["status"]),
-        stage=opt(Stage, "stage"),
-        grade=opt(Grade, "grade"),
-        extent=opt(Extent, "extent"),
-        subtype=opt(Subtype, "subtype"),
-    )
+    status = PeriodontalStatus(obj["status"])
+    optional = [
+        None if (raw := obj.get(name)) is None else cls(raw) for name, cls in _OPTIONAL_FIELDS
+    ]
+    record = DiagnosisRecord(status, *optional)
     problems = validate_record(record)
     if problems:
         raise ValueError("; ".join(problems))

@@ -10,30 +10,26 @@ from __future__ import annotations
 import random
 
 from .corpus import AnnotatedNote, AnnotationSource, Provenance
-from .model import DiagnosisRecord, Extent, Grade, PeriodontalStatus, Stage, Subtype
+from .model import (
+    DIMENSION_VALUES,
+    FIELD_NAMES,
+    LEGAL_DIMENSIONS,
+    DiagnosisRecord,
+    Dimension,
+    PeriodontalStatus,
+)
 from .synthesis import CLEAN, SeedTemplate, compose_note
-
-_STAGES = tuple(Stage)
-_GRADES = tuple(Grade)
-_EXTENTS = tuple(Extent)
-_SUBTYPES = tuple(Subtype)
 
 
 def _demo_record(status: PeriodontalStatus, i: int) -> DiagnosisRecord:
-    if status is PeriodontalStatus.PERIODONTITIS:
-        return DiagnosisRecord(
-            status,
-            stage=_STAGES[i % len(_STAGES)],
-            grade=_GRADES[i % len(_GRADES)],
-            extent=_EXTENTS[i % len(_EXTENTS)],
-        )
-    if status is PeriodontalStatus.GINGIVITIS:
-        return DiagnosisRecord(
-            status,
-            extent=_EXTENTS[(i + 1) % len(_EXTENTS)],
-            subtype=_SUBTYPES[i % len(_SUBTYPES)],
-        )
-    return DiagnosisRecord(status, subtype=_SUBTYPES[i % len(_SUBTYPES)])
+    """The i-th demo record of a status: each field it may carry cycles through its values."""
+    fields = {}
+    for dim in LEGAL_DIMENSIONS[status][1:]:
+        values = DIMENSION_VALUES[dim]
+        # Gingivitis extents run one step ahead of periodontitis extents.
+        shift = dim is Dimension.EXTENT and status is PeriodontalStatus.GINGIVITIS
+        fields[FIELD_NAMES[dim]] = values[(i + shift) % len(values)]
+    return DiagnosisRecord(status, **fields)
 
 
 def demo_seed_notes(per_category: int = 15, site_id: str = "site1") -> list[AnnotatedNote]:

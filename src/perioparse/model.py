@@ -114,6 +114,30 @@ DIMENSION_VALUES = {
     for dim, cls in VALUE_CLASSES.items()
 }
 
+#: Record field holding each dimension's value, in dimension order.
+FIELD_NAMES = {dim: dim.value.lower() for dim in DIMENSIONS}
+
+#: Dimensions a record of each status may fill, in dimension order. Under the
+#: 2018 AAP/EFP scheme stage and grade go only with periodontitis, and subtype
+#: only with gingivitis or health.
+LEGAL_DIMENSIONS: dict[PeriodontalStatus, tuple[Dimension, ...]] = {
+    PeriodontalStatus.PERIODONTITIS: (
+        Dimension.STATUS, Dimension.STAGE, Dimension.GRADE, Dimension.EXTENT,
+    ),
+    PeriodontalStatus.GINGIVITIS: (Dimension.STATUS, Dimension.EXTENT, Dimension.SUBTYPE),
+    PeriodontalStatus.HEALTH: (Dimension.STATUS, Dimension.SUBTYPE),
+}
+
+# (field name, violation message) of each dimension a status may not fill.
+_FORBIDDEN_FIELDS = {
+    status: tuple(
+        (FIELD_NAMES[dim], f"{FIELD_NAMES[dim]} not permitted for {status.value.lower()}")
+        for dim in DIMENSIONS
+        if dim not in legal
+    )
+    for status, legal in LEGAL_DIMENSIONS.items()
+}
+
 
 def join(a, b):
     """Join of two optional values of one ordered enum; absent is the bottom element.
@@ -132,7 +156,7 @@ class DiagnosisRecord:
     """Normalized per-patient diagnosis over the five dimensions.
 
     Absent optional fields mean "left blank", not "unknown sentinel".
-    Field legality depends on status; see :func:`validate_record`.
+    Field legality depends on status; see :data:`LEGAL_DIMENSIONS`.
     """
 
     status: PeriodontalStatus
@@ -142,13 +166,7 @@ class DiagnosisRecord:
     subtype: Subtype | None = None
 
     def value_for(self, dimension: Dimension):
-        return {
-            Dimension.STATUS: self.status,
-            Dimension.STAGE: self.stage,
-            Dimension.GRADE: self.grade,
-            Dimension.EXTENT: self.extent,
-            Dimension.SUBTYPE: self.subtype,
-        }[dimension]
+        return getattr(self, FIELD_NAMES[dimension])
 
 
 def validate_record(record: DiagnosisRecord) -> list[str]:
@@ -157,22 +175,9 @@ def validate_record(record: DiagnosisRecord) -> list[str]:
     Violations are data, not faults: callers decide whether to raise.
     """
     violations: list[str] = []
-    status = record.status
-    if status is PeriodontalStatus.PERIODONTITIS:
-        if record.subtype is not None:
-            violations.append("subtype not permitted for periodontitis")
-    elif status is PeriodontalStatus.GINGIVITIS:
-        if record.stage is not None:
-            violations.append("stage not permitted for gingivitis")
-        if record.grade is not None:
-            violations.append("grade not permitted for gingivitis")
-    else:  # HEALTH
-        if record.stage is not None:
-            violations.append("stage not permitted for health")
-        if record.grade is not None:
-            violations.append("grade not permitted for health")
-        if record.extent is not None:
-            violations.append("extent not permitted for health")
+    for name, message in _FORBIDDEN_FIELDS[record.status]:
+        if getattr(record, name) is not None:
+            violations.append(message)
     return violations
 
 

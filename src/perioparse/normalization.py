@@ -12,6 +12,8 @@ import re
 from collections.abc import Iterable, Sequence
 
 from .model import (
+    DIMENSIONS,
+    LEGAL_DIMENSIONS,
     DiagnosisRecord,
     Dimension,
     Extent,
@@ -121,6 +123,13 @@ def normalize_value(dimension: Dimension, raw_text: str):
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
+# Per status, whether it may carry a stage, grade, extent and subtype.
+_OPTIONAL_LEGAL = {
+    status: tuple(dim in legal for dim in DIMENSIONS[1:])
+    for status, legal in LEGAL_DIMENSIONS.items()
+}
+
+
 def _legalized(
     status: PeriodontalStatus,
     stage: Stage | None,
@@ -129,11 +138,14 @@ def _legalized(
     subtype: Subtype | None,
 ) -> DiagnosisRecord:
     """Build a record, dropping fields the status cannot carry."""
-    if status is PeriodontalStatus.PERIODONTITIS:
-        return DiagnosisRecord(status, stage=stage, grade=grade, extent=extent)
-    if status is PeriodontalStatus.GINGIVITIS:
-        return DiagnosisRecord(status, extent=extent, subtype=subtype)
-    return DiagnosisRecord(status, subtype=subtype)
+    stage_ok, grade_ok, extent_ok, subtype_ok = _OPTIONAL_LEGAL[status]
+    return DiagnosisRecord(
+        status,
+        stage if stage_ok else None,
+        grade if grade_ok else None,
+        extent if extent_ok else None,
+        subtype if subtype_ok else None,
+    )
 
 
 def statement_candidate(statement: Statement) -> DiagnosisRecord | None:

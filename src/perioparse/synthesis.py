@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import (
@@ -27,6 +27,8 @@ from .corpus import (
 from .extraction import detect_status_rulebased, diagnose
 from .model import (
     DIMENSIONS,
+    FIELD_NAMES,
+    LEGAL_DIMENSIONS,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -67,17 +69,14 @@ class PerturbationSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "typo_rate",
-            "informal_format_rate",
-            "anchor_variation_rate",
-            "multi_diagnosis_rate",
-            "distractor_extent_rate",
-        ):
+        for name in PERTURBATION_RATES:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
 
+
+#: Names of the rate fields of :class:`PerturbationSpec`, in field order.
+PERTURBATION_RATES = tuple(f.name for f in fields(PerturbationSpec) if f.name.endswith("_rate"))
 
 CLEAN = PerturbationSpec()
 
@@ -170,32 +169,21 @@ DEFAULT_PROMPT_SECTIONS = PromptSections(
 
 TRAILER_PREFIX = "LABELS:"
 
-_LEGAL_TRAILER_KEYS = {
-    PeriodontalStatus.PERIODONTITIS: ("status", "stage", "grade", "extent"),
-    PeriodontalStatus.GINGIVITIS: ("status", "extent", "subtype"),
-    PeriodontalStatus.HEALTH: ("status", "subtype"),
-}
-
-_DIMENSION_TITLES = {
-    PeriodontalStatus.PERIODONTITIS: "Status, Stage, Grade, Extent",
-    PeriodontalStatus.GINGIVITIS: "Status, Extent, Subtype",
-    PeriodontalStatus.HEALTH: "Status, Subtype",
-}
-
 
 def trailer_for_record(record: DiagnosisRecord) -> str:
     """The machine-readable label line a generated note must end with."""
     values = record_to_obj(record)
-    payload = {k: values[k] for k in _LEGAL_TRAILER_KEYS[record.status]}
+    names = [FIELD_NAMES[dim] for dim in LEGAL_DIMENSIONS[record.status]]
+    payload = {name: values[name] for name in names}
     return f"{TRAILER_PREFIX} {json.dumps(payload)}"
 
 
 def build_prompt(template: SeedTemplate, sections: PromptSections = DEFAULT_PROMPT_SECTIONS) -> str:
     """Assemble the generation prompt: rules, components, labeling, template text."""
-    status = template.embedded_record.status
+    titles = ", ".join(dim.value for dim in LEGAL_DIMENSIONS[template.embedded_record.status])
     labeling = (
         f"{sections.labeling}\n"
-        f"Annotated dimensions for this note: {_DIMENSION_TITLES[status]}.\n"
+        f"Annotated dimensions for this note: {titles}.\n"
         f"End the note with one final line exactly of this form:\n"
         f"{trailer_for_record(template.embedded_record)}"
     )

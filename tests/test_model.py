@@ -77,6 +77,20 @@ def test_validate_record_examples():
     assert validate_record(DiagnosisRecord(H)) == []
     bad = DiagnosisRecord(G, stage=Stage.II)
     assert any("stage not permitted for gingivitis" in v for v in validate_record(bad))
+    every = dict(stage=Stage.I, grade=Grade.A, extent=Extent.LOCALIZED,
+                 subtype=Subtype.INTACT_PERIODONTIUM)
+    assert validate_record(DiagnosisRecord(P, **every)) == [
+        "subtype not permitted for periodontitis",
+    ]
+    assert validate_record(DiagnosisRecord(G, **every)) == [
+        "stage not permitted for gingivitis",
+        "grade not permitted for gingivitis",
+    ]
+    assert validate_record(DiagnosisRecord(H, **every)) == [
+        "stage not permitted for health",
+        "grade not permitted for health",
+        "extent not permitted for health",
+    ]
 
 
 def test_validate_record_full_product_against_legality_predicate():

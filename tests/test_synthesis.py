@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from perioparse.corpus import AnnotationSource, Provenance, note_to_obj
@@ -91,19 +93,26 @@ def test_prompt_has_three_sections_and_verbatim_template():
     assert template.note.text in prompt
 
 
-def test_periodontitis_labeling_names_stage_grade_extent():
-    prompt = build_prompt(_template_for(P))
-    labeling = prompt.split("=== Labeling instructions ===")[1].split("=== Template")[0]
-    for word in ("Stage", "Grade", "Extent"):
-        assert word in labeling
-
-
-def test_health_labeling_names_subtype_only():
-    prompt = build_prompt(_template_for(H))
-    labeling = prompt.split("=== Labeling instructions ===")[1].split("=== Template")[0]
-    assert "Subtype" in labeling
-    for word in ("Stage", "Grade", "Extent", "stage", "grade", "extent"):
-        assert word not in labeling
+@pytest.mark.parametrize(
+    "status, titles, keys",
+    [
+        (P, "Status, Stage, Grade, Extent", ["status", "stage", "grade", "extent"]),
+        (G, "Status, Extent, Subtype", ["status", "extent", "subtype"]),
+        (H, "Status, Subtype", ["status", "subtype"]),
+    ],
+    ids=["periodontitis", "gingivitis", "health"],
+)
+def test_labeling_names_exactly_the_dimensions_of_the_status(status, titles, keys):
+    template = _template_for(status)
+    labeling = build_prompt(template).split("=== Labeling instructions ===")[1]
+    labeling = labeling.split("=== Template")[0]
+    assert f"\nAnnotated dimensions for this note: {titles}.\n" in labeling
+    trailer = trailer_for_record(template.embedded_record)
+    assert trailer in labeling
+    assert list(json.loads(trailer.removeprefix("LABELS:"))) == keys
+    for dim in Dimension:
+        if dim.value not in titles:
+            assert dim.value not in labeling and dim.value.lower() not in labeling
 
 
 def test_prompt_is_pure():
