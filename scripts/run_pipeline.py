@@ -14,7 +14,7 @@ from pathlib import Path
 from perioparse.cli import main as cli
 from perioparse.corpus import write_corpus
 from perioparse.demo import demo_seed_notes
-from perioparse.synthesis import PERTURBATION_RATES
+from perioparse.synthesis import PERTURBATION_RATES, VARIANTS_PER_TEMPLATE
 
 
 def run(argv: list) -> None:
@@ -36,7 +36,7 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("pipeline_out"))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--per-category", type=int, default=15)
-    parser.add_argument("--variants", type=int, default=10)
+    parser.add_argument("--variants", type=int, default=VARIANTS_PER_TEMPLATE)
     parser.add_argument("--rate", type=float, default=0.15, help="perturbation rate for the robustness corpus")
     args = parser.parse_args()
 

@@ -40,8 +40,10 @@ from .reporting import (
 from .synthesis import (
     DEFAULT_PROMPT_SECTIONS,
     PERTURBATION_RATES,
+    VARIANTS_PER_TEMPLATE,
     PerturbationSpec,
     TemplateSelectionError,
+    check_variants,
     generate_offline,
     read_prompt_sections,
     select_seed_templates,
@@ -127,15 +129,19 @@ def _cmd_synth(args) -> int:
             read_corpus(args.corpus), per_category=args.per_category, seed=args.seed
         )
 
-    variants = args.variants
-    if variants is None:
-        variants = int(config.get("variants_per_template", 10))
+    try:
+        variants = args.variants
+        if variants is None:
+            variants = int(config.get("variants_per_template", VARIANTS_PER_TEMPLATE))
+        check_variants(variants)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     if args.offline:
         if args.seed is None:
             raise UsageError("--seed is required for offline generation")
-        rates = {key: float(config[key]) for key in PERTURBATION_RATES if key in config}
         try:
+            rates = {key: float(config[key]) for key in PERTURBATION_RATES if key in config}
             perturb = PerturbationSpec(rng_seed=args.seed, **rates)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
@@ -224,6 +230,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.curve and args.step < 1:
+        raise UsageError(f"--step must be at least 1, got {args.step}")
     gold = read_corpus(args.gold_in)
     pred = read_corpus(args.pred_in)
     try:

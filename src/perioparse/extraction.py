@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import span_from_obj
 from .model import (
     DiagnosisRecord,
     Dimension,
     EntitySpan,
-    Extent,
     PeriodontalStatus,
     Statement,
     Subtype,
@@ -32,8 +31,10 @@ from .model import (
 )
 from .normalization import (
     ARABIC_STAGES,
+    EXTENT_VOCAB,
     GRADE_LETTERS,
     ROMAN_STAGES,
+    STATUS_VOCAB,
     adjudicate,
     infer_status_context,
     within_one_edit,
@@ -41,6 +42,22 @@ from .normalization import (
 
 # Words that, followed by ":" or "-", open a diagnosis region.
 _ANCHORS = ("d", "dx", "diagnosis")
+
+#: Every word the grammar matches with one edit allowed (see `_match_word`).
+#: The offline typo injector rejects a typo within one edit of any of them
+#: but its source word, so a typo always resolves back to that word.
+GRAMMAR_WORDS = (
+    *STATUS_VOCAB,
+    *EXTENT_VOCAB,
+    "stage",
+    "grade",
+    "intact",
+    "reduced",
+    "periodontium",
+    "stable",
+    "past",
+    "diagnosis",
+)
 
 MODES = ("strict", "informal")
 
@@ -152,28 +169,6 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     return found
 
 
-@dataclass
-class _Element:
-    kind: str  # status | stage | grade | subtype
-    value: object
-    span_start: int
-    span_end: int
-    first_token: int
-    last_token: int
-
-
-@dataclass
-class _Group:
-    status: _Element | None = None
-    stage: _Element | None = None
-    grade: _Element | None = None
-    subtype: _Element | None = None
-    extent_spans: list[EntitySpan] = field(default_factory=list)
-
-    def has(self, kind: str) -> bool:
-        return getattr(self, kind) is not None
-
-
 def _is_word(tok: Token) -> bool:
     return tok.text[0].isalnum()
 
@@ -229,48 +224,59 @@ def _match_subtype(tokens: list[Token], i: int):
     return None, j  # bare "reduced periodontium": consume, no value
 
 
+def _vocab_value(low: str, vocab: dict, sentence_text: str):
+    """The value of the first `vocab` word `low` matches, or None.
+
+    Health words count only in a sentence with periodontal context.
+    """
+    for word, value in vocab.items():
+        if _match_word(low, word):
+            if value is PeriodontalStatus.HEALTH and not _PERIO_CONTEXT.search(sentence_text):
+                return None
+            return value
+    return None
+
+
+def _token_span(dimension: Dimension, value, tok: Token) -> EntitySpan:
+    return EntitySpan(dimension, value, tok.start, tok.end, tok.text)
+
+
 def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text: str):
-    """Pass A: classify region tokens into elements and extent candidates."""
-    elements: list[_Element] = []
-    extents: list[tuple[Extent, int, Token]] = []  # (value, token index, token)
-    consumed: set[int] = set()
+    """Pass A: classify region tokens into elements and extent candidates.
+
+    Elements are (span, first token, last token) in token order; extent
+    candidates are (span, token index).
+    """
+    elements: list[tuple[EntitySpan, int, int]] = []
+    extents: list[tuple[EntitySpan, int]] = []
     stage_value_tokens: set[int] = set()
     i = 0
     while i < len(tokens):
-        if i in consumed or not _is_word(tokens[i]):
+        tok = tokens[i]
+        if not _is_word(tok):
             i += 1
             continue
-        tok = tokens[i]
         low = tok.text.lower()
 
         sub = _match_subtype(tokens, i)
         if sub is not None:
             value, last = sub
-            consumed.update(range(i, last + 1))
             if value is not None:
-                elements.append(
-                    _Element("subtype", value, tok.start, tokens[last].end, i, last)
-                )
+                end = tokens[last].end
+                span = EntitySpan(Dimension.SUBTYPE, value, tok.start, end, text[tok.start : end])
+                elements.append((span, i, last))
             i = last + 1
             continue
 
-        status_value = None
-        if _match_word(low, "periodontitis"):
+        status = _vocab_value(low, STATUS_VOCAB, sentence_text)
+        if status is PeriodontalStatus.PERIODONTITIS:
             prev = _prev_content(tokens, i)
-            guarded = prev is not None and any(
+            if prev is not None and any(
                 _match_word(tokens[prev].text.lower(), g) for g in _STATUS_GUARDS
-            )
-            if not guarded:
-                status_value = PeriodontalStatus.PERIODONTITIS
-        elif _match_word(low, "gingivitis"):
-            status_value = PeriodontalStatus.GINGIVITIS
-        elif (_match_word(low, "health") or _match_word(low, "healthy")) and _PERIO_CONTEXT.search(
-            sentence_text
-        ):
-            status_value = PeriodontalStatus.HEALTH
-        if status_value is not None:
-            elements.append(_Element("status", status_value, tok.start, tok.end, i, i))
-            consumed.add(i)
+            ):
+                status = None
+        if status is not None:
+            elements.append((_token_span(Dimension.STATUS, status, tok), i, i))
             i += 1
             continue
 
@@ -280,11 +286,8 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
                 jlow = tokens[j].text.lower()
                 stage = ROMAN_STAGES.get(jlow) or ARABIC_STAGES.get(jlow)
                 if stage is not None:
-                    elements.append(
-                        _Element("stage", stage, tokens[j].start, tokens[j].end, i, j)
-                    )
+                    elements.append((_token_span(Dimension.STAGE, stage, tokens[j]), i, j))
                     stage_value_tokens.add(j)
-                    consumed.update((i, j))
                     i = j + 1
                     continue
 
@@ -293,10 +296,7 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
             if j is not None and len(tokens[j].text) == 1:
                 grade = GRADE_LETTERS.get(tokens[j].text.lower())
                 if grade is not None:
-                    elements.append(
-                        _Element("grade", grade, tokens[j].start, tokens[j].end, i, j)
-                    )
-                    consumed.update((i, j))
+                    elements.append((_token_span(Dimension.GRADE, grade, tokens[j]), i, j))
                     i = j + 1
                     continue
 
@@ -304,32 +304,20 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
             # Bare roman numeral directly followed by a bare grade letter.
             if low in ROMAN_STAGES and tok.text.isupper():
                 j = _next_content(tokens, i)
-                if (
-                    j is not None
-                    and len(tokens[j].text) == 1
-                    and tokens[j].text in ("A", "B", "C")
-                ):
-                    elements.append(
-                        _Element("stage", ROMAN_STAGES[low], tok.start, tok.end, i, i)
-                    )
+                if j is not None and tokens[j].text in ("A", "B", "C"):
+                    elements.append((_token_span(Dimension.STAGE, ROMAN_STAGES[low], tok), i, i))
                     stage_value_tokens.add(i)
-                    consumed.add(i)
                     i += 1
                     continue
             # Bare grade letter trailing a stage value token.
-            if tok.text in ("A", "B", "C"):
-                if _prev_content(tokens, i) in stage_value_tokens:
-                    elements.append(
-                        _Element("grade", GRADE_LETTERS[low], tok.start, tok.end, i, i)
-                    )
-                    consumed.add(i)
-                    i += 1
-                    continue
+            if tok.text in ("A", "B", "C") and _prev_content(tokens, i) in stage_value_tokens:
+                elements.append((_token_span(Dimension.GRADE, GRADE_LETTERS[low], tok), i, i))
+                i += 1
+                continue
 
-        if _match_word(low, "localized"):
-            extents.append((Extent.LOCALIZED, i, tok))
-        elif _match_word(low, "generalized"):
-            extents.append((Extent.GENERALIZED, i, tok))
+        extent = _vocab_value(low, EXTENT_VOCAB, sentence_text)
+        if extent is not None:
+            extents.append((_token_span(Dimension.EXTENT, extent, tok), i))
         i += 1
     return elements, extents
 
@@ -339,57 +327,30 @@ def _build_statements(
 ) -> list[Statement]:
     """Pass B and C: group elements into statements and attach extents."""
     elements, extents = _scan_elements(text, tokens, informal, sentence_text)
-    if not elements and not extents:
+    if not elements:
         return []
 
-    groups: list[_Group] = []
-    element_group: dict[int, _Group] = {}
-    current: _Group | None = None
-    for el in sorted(elements, key=lambda e: e.first_token):
-        if current is None or current.has(el.kind):
-            current = _Group()
-            groups.append(current)
-        setattr(current, el.kind, el)
-        for idx in range(el.first_token, el.last_token + 1):
-            element_group[idx] = current
+    # A statement holds at most one element per dimension; a repeated
+    # dimension opens the next one.
+    groups: list[dict[Dimension, EntitySpan]] = []
+    head_group: dict[int, int] = {}  # token of a status/stage/grade element -> its group
+    for span, first, last in elements:
+        if not groups or span.dimension in groups[-1]:
+            groups.append({})
+        groups[-1][span.dimension] = span
+        if span.dimension is not Dimension.SUBTYPE:
+            head_group.update(dict.fromkeys(range(first, last + 1), len(groups) - 1))
 
-    token_kind = {}
-    for el in elements:
-        for idx in range(el.first_token, el.last_token + 1):
-            token_kind[idx] = el.kind
-
-    for value, idx, tok in extents:
-        head = None
+    statement_spans = [list(group.values()) for group in groups]
+    for span, idx in extents:
         for j in range(idx + 1, len(tokens)):
-            if not _is_word(tokens[j]):
-                continue
-            if tokens[j].text.lower() in _HEAD_SKIP_WORDS:
-                continue
-            head = j
-            break
-        if head is None:
-            continue
-        kind = token_kind.get(head)
-        if kind not in ("status", "stage", "grade"):
-            continue
-        group = element_group[head]
-        group.extent_spans.append(
-            EntitySpan(Dimension.EXTENT, value, tok.start, tok.end, tok.text)
-        )
+            if _is_word(tokens[j]) and tokens[j].text.lower() not in _HEAD_SKIP_WORDS:
+                if j in head_group:
+                    statement_spans[head_group[j]].append(span)
+                break
 
     statements = []
-    for group in groups:
-        spans = []
-        for el in (group.status, group.stage, group.grade, group.subtype):
-            if el is None:
-                continue
-            dim = Dimension[el.kind.upper()]
-            spans.append(
-                EntitySpan(dim, el.value, el.span_start, el.span_end, text[el.span_start : el.span_end])
-            )
-        spans.extend(group.extent_spans)
-        if not spans:
-            continue
+    for spans in statement_spans:
         spans.sort(key=lambda s: s.start)
         statements.append(
             Statement(tuple(spans), hedged=hedged, start=spans[0].start, end=spans[-1].end)
@@ -399,16 +360,12 @@ def _build_statements(
 
 def _find_anchor_regions(tokens: list[Token]) -> list[int]:
     """Indices just past each anchor ("D" ":") within a sentence's tokens."""
-    starts = []
-    for i in range(len(tokens) - 1):
-        low = tokens[i].text.lower()
-        if len(low) <= 3:
-            hit = low in _ANCHORS
-        else:
-            hit = any(len(a) >= 4 and _match_word(low, a) for a in _ANCHORS)
-        if hit and tokens[i + 1].text in (":", "-"):
-            starts.append(i + 2)
-    return starts
+    return [
+        i + 2
+        for i in range(len(tokens) - 1)
+        if tokens[i + 1].text in (":", "-")
+        and any(_match_word(tokens[i].text.lower(), a) for a in _ANCHORS)
+    ]
 
 
 def _initial_trigger(tokens: list[Token], sentence_text: str) -> bool:
@@ -416,17 +373,11 @@ def _initial_trigger(tokens: list[Token], sentence_text: str) -> bool:
     content = [t for t in tokens if _is_word(t)][:2]
     for tok in content:
         low = tok.text.lower()
-        if _match_word(low, "localized") or _match_word(low, "generalized"):
-            return True
-        if _match_word(low, "periodontitis") or _match_word(low, "gingivitis"):
-            return True
-        if (_match_word(low, "health") or _match_word(low, "healthy")) and _PERIO_CONTEXT.search(
-            sentence_text
+        if (
+            _vocab_value(low, EXTENT_VOCAB, sentence_text) is not None
+            or _vocab_value(low, STATUS_VOCAB, sentence_text) is not None
+            or any(_match_word(low, word) for word in ("stage", "intact", "reduced"))
         ):
-            return True
-        if _match_word(low, "stage"):
-            return True
-        if _match_word(low, "intact") or _match_word(low, "reduced"):
             return True
     return False
 

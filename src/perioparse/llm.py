@@ -20,7 +20,9 @@ from .synthesis import (
     DEFAULT_PROMPT_SECTIONS,
     PromptSections,
     SeedTemplate,
+    VARIANTS_PER_TEMPLATE,
     build_prompt,
+    check_variants,
     parse_label_trailer,
 )
 
@@ -37,7 +39,7 @@ class GenerationError(RuntimeError):
 class GenerationConfig:
     model_name: str
     endpoint_url: str
-    variants_per_template: int = 10
+    variants_per_template: int = VARIANTS_PER_TEMPLATE
     temperature: float = 1.0
     top_p: float = 1.0
     max_concurrent_requests: int = 4
@@ -46,8 +48,7 @@ class GenerationConfig:
     request_timeout: float = 60.0
 
     def __post_init__(self):
-        if self.variants_per_template < 1:
-            raise ValueError("variants_per_template must be at least 1")
+        check_variants(self.variants_per_template)
         for name in ("temperature", "top_p"):
             value = getattr(self, name)
             if not 0.0 < value <= 2.0:

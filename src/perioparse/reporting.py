@@ -134,17 +134,13 @@ def bar_chart_data(tables: list[MetricsTable]) -> dict:
             for avg_name, prf in (("macro", dm.macro), ("weighted", dm.weighted)):
                 if prf is None:
                     continue
-                for metric_name, attr in (
-                    ("precision", "precision"),
-                    ("recall", "recall"),
-                    ("f1", "f1"),
-                ):
+                for _, attr in _METRIC_ATTRS:
                     bars.append(
                         {
                             "dimension": DIMENSION_TITLES[dm.dimension],
                             "site": table.site,
                             "average": avg_name,
-                            "metric": metric_name,
+                            "metric": attr,
                             "value": getattr(prf, attr),
                         }
                     )

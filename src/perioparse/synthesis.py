@@ -24,7 +24,7 @@ from .corpus import (
     record_from_obj,
     record_to_obj,
 )
-from .extraction import detect_status_rulebased, diagnose
+from .extraction import GRAMMAR_WORDS, detect_status_rulebased, diagnose
 from .model import (
     DIMENSIONS,
     FIELD_NAMES,
@@ -79,6 +79,15 @@ class PerturbationSpec:
 PERTURBATION_RATES = tuple(f.name for f in fields(PerturbationSpec) if f.name.endswith("_rate"))
 
 CLEAN = PerturbationSpec()
+
+#: Notes rendered per seed template unless a caller asks for another count.
+VARIANTS_PER_TEMPLATE = 10
+
+
+def check_variants(variants_per_template: int) -> None:
+    """Reject a variants-per-template count below one."""
+    if variants_per_template < 1:
+        raise ValueError("variants_per_template must be at least 1")
 
 
 def select_seed_templates(
@@ -280,24 +289,6 @@ _SUBTYPE_PHRASES = {
 
 _SUBTYPE_CONNECTORS = (" on {article} ", " with {article} ")
 
-# Vocabulary a typo must not collide with (it must still resolve to its source word).
-_SAFETY_VOCAB = (
-    "periodontitis",
-    "gingivitis",
-    "health",
-    "healthy",
-    "localized",
-    "generalized",
-    "stage",
-    "grade",
-    "intact",
-    "reduced",
-    "periodontium",
-    "stable",
-    "past",
-    "diagnosis",
-)
-
 _TYPO_WORD_RE = re.compile(r"[A-Za-z]{5,}")
 
 
@@ -390,7 +381,7 @@ def _safe_typo(word: str, rng: random.Random) -> str:
             mutated = word[:pos] + word[pos + 1 :]
         if mutated.lower() == low:
             continue
-        if any(w != low and within_one_edit(mutated.lower(), w) for w in _SAFETY_VOCAB):
+        if any(w != low and within_one_edit(mutated.lower(), w) for w in GRAMMAR_WORDS):
             continue
         return mutated
     return word[:2] + word[1:]  # duplicate second character
@@ -506,7 +497,7 @@ def compose_note(
 
 def generate_offline(
     templates: list[SeedTemplate],
-    variants_per_template: int = 10,
+    variants_per_template: int = VARIANTS_PER_TEMPLATE,
     perturb: PerturbationSpec = CLEAN,
 ) -> list[AnnotatedNote]:
     """Deterministically render synthetic notes from templates.
@@ -515,6 +506,7 @@ def generate_offline(
     byte-identical corpora. Per-template seeds derive from the template id,
     so templates can be rendered independently.
     """
+    check_variants(variants_per_template)
     notes = []
     for template in templates:
         for variant in range(variants_per_template):

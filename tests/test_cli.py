@@ -210,6 +210,32 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
             assert (value.value if value is not None else "blank") == d["proposal"]
 
 
+@pytest.mark.parametrize(
+    "config_text, argv",
+    [
+        ("variants_per_template = ten\n", ["synth"]),
+        ("typo_rate = x\n", ["synth"]),
+        ("", ["synth", "--variants", 0]),
+        ("", ["evaluate", "--curve", "--step", 0]),
+    ],
+    ids=["variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step"],
+)
+def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_text, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    eval_dir = tmp_path / "eval"
+    if argv[0] == "synth":
+        argv = [*argv, "--offline", "--templates", template_file, "--config", config,
+                "--seed", 1, "--out", out]
+    else:
+        argv = [argv[0], template_file, template_file, eval_dir, *argv[1:]]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists() and not eval_dir.exists()
+
+
 # --------------------------------------------------------------------------
 # split
 

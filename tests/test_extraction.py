@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_detect_status_rulebased
 
+from perioparse import extraction
 from perioparse.corpus import AnnotatedNote, Note
 from perioparse.demo import demo_seed_templates
 from perioparse.extraction import (
     _SENTENCE_RE,
+    GRAMMAR_WORDS,
     MODES,
     PredictionFileError,
     detect_status_rulebased,
@@ -30,7 +32,7 @@ from perioparse.model import (
     Subtype,
     span_violations,
 )
-from perioparse.synthesis import PerturbationSpec, generate_offline
+from perioparse.synthesis import PERTURBATION_RATES, PerturbationSpec, generate_offline
 
 P, G, H = (
     PeriodontalStatus.PERIODONTITIS,
@@ -328,6 +330,26 @@ def test_hostile_long_inputs_stay_linear():
         result = run()
         assert time.monotonic() - start < 2.0
         assert (result if expected is None else len(result)) == expected
+
+
+def test_grammar_words_are_the_words_matched_with_one_edit(monkeypatch):
+    # The offline typo injector relies on GRAMMAR_WORDS naming every word the
+    # grammar matches fuzzily (words under four letters match exactly).
+    spec = PerturbationSpec(**dict.fromkeys(PERTURBATION_RATES, 0.3), rng_seed=5)
+    notes = generate_offline(demo_seed_templates(15), 3, spec)
+    matched = set()
+    match_word = extraction._match_word
+
+    def recording(token_lower, word):
+        matched.add(word)
+        return match_word(token_lower, word)
+
+    monkeypatch.setattr(extraction, "_match_word", recording)
+    for n in notes:
+        for mode in MODES:
+            extract_statements(n.note.text, mode)
+    assert {w for w in matched if len(w) >= 4} == set(GRAMMAR_WORDS)
+    assert len(set(GRAMMAR_WORDS)) == len(GRAMMAR_WORDS)
 
 
 def test_invalid_mode_rejected():
