@@ -8,7 +8,6 @@ validation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import typing
 from pathlib import Path
@@ -24,16 +23,17 @@ from .corpus import (
     write_corpus,
     write_manifest,
 )
-from .evaluation import evaluate_corpus, learning_curve
+from .evaluation import evaluate_corpus, learning_curve, notes_by_site
 from .extraction import PredictionFileError, diagnose, load_external_predictions
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
 from .model import Dimension, Statement
 from .normalization import adjudicate, classify_guideline_version, infer_status_context
 from .reporting import (
-    DIMENSION_TITLES,
     REPORT_FORMATS,
+    average_rows,
     bar_chart_data,
     confusion_chart_data,
+    json_text,
     learning_curve_to_obj,
     render_report,
 )
@@ -57,14 +57,23 @@ class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-# Config keys of the online generation settings; the rest of the config is
-# for prompts, variants and perturbation rates.
+# Config keys of the optional online generation settings.
 _GENERATION_KEYS = ("temperature", "top_p", "max_concurrent_requests", "retry_limit", "api_key_env")
+# Every accepted config key and the type its value converts to; the request
+# timeout is a library setting only.
+_CONFIG_TYPES = {
+    **{k: t for k, t in typing.get_type_hints(GenerationConfig).items() if k != "request_timeout"},
+    "prompt_file": str,
+    **dict.fromkeys(PERTURBATION_RATES, float),
+}
 
 
-def read_config(path) -> dict[str, str]:
-    """Parse a `key = value` config file; `#` starts a comment."""
-    values: dict[str, str] = {}
+def read_config(path) -> dict:
+    """Parse a `key = value` config file into typed values; `#` starts a comment.
+
+    An unknown key or a value of the wrong type is a usage error naming the key.
+    """
+    values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -75,8 +84,14 @@ def read_config(path) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            known = ", ".join(_CONFIG_TYPES)
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}; accepted: {known}")
+        try:
+            values[key] = _CONFIG_TYPES[key](value)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -132,7 +147,7 @@ def _cmd_synth(args) -> int:
     try:
         variants = args.variants
         if variants is None:
-            variants = int(config.get("variants_per_template", VARIANTS_PER_TEMPLATE))
+            variants = config.get("variants_per_template", VARIANTS_PER_TEMPLATE)
         check_variants(variants)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -141,7 +156,7 @@ def _cmd_synth(args) -> int:
         if args.seed is None:
             raise UsageError("--seed is required for offline generation")
         try:
-            rates = {key: float(config[key]) for key in PERTURBATION_RATES if key in config}
+            rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
             perturb = PerturbationSpec(rng_seed=args.seed, **rates)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
@@ -150,9 +165,8 @@ def _cmd_synth(args) -> int:
         for key in ("model_name", "endpoint_url"):
             if key not in config:
                 raise UsageError(f"--online requires {key!r} in the config file")
-        types = typing.get_type_hints(GenerationConfig)
         try:
-            settings = {key: types[key](config[key]) for key in _GENERATION_KEYS if key in config}
+            settings = {key: config[key] for key in _GENERATION_KEYS if key in config}
             gen_config = GenerationConfig(
                 model_name=config["model_name"],
                 endpoint_url=config["endpoint_url"],
@@ -230,8 +244,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.curve and args.step < 1:
-        raise UsageError(f"--step must be at least 1, got {args.step}")
+    for flag, value in (("--step", args.step), ("--window", args.window)):
+        if args.curve and value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     gold = read_corpus(args.gold_in)
     pred = read_corpus(args.pred_in)
     try:
@@ -243,24 +258,15 @@ def _cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir)
     tables = [table for _, table in results.values()]
     matrices_by_site = {site: matrices for site, (matrices, _) in results.items()}
-
-    ext = {"text-table": "txt", "csv": "csv", "json": "json"}[args.report]
+    ext, _ = REPORT_FORMATS[args.report]
     atomic_write_text(out_dir / f"report.{ext}", render_report(tables, args.report))
-    atomic_write_text(
-        out_dir / "confusion.json",
-        json.dumps(confusion_chart_data(matrices_by_site), indent=2) + "\n",
-    )
-    atomic_write_text(
-        out_dir / "bar_chart.json", json.dumps(bar_chart_data(tables), indent=2) + "\n"
-    )
+    atomic_write_text(out_dir / "confusion.json", json_text(confusion_chart_data(matrices_by_site)))
+    atomic_write_text(out_dir / "bar_chart.json", json_text(bar_chart_data(tables)))
 
     if args.curve:
         pred_records = {n.note.note_id: n.record for n in pred}
         curves = {}
-        by_site: dict[str, list] = {}
-        for n in gold:
-            by_site.setdefault(n.note.site_id, []).append(n)
-        for site, site_notes in sorted(by_site.items()):
+        for site, site_notes in notes_by_site(gold).items():
             if len(site_notes) < args.step:
                 continue
             curve = learning_curve(
@@ -273,15 +279,11 @@ def _cmd_evaluate(args) -> int:
                 dimension=Dimension(args.dimension),
             )
             curves[site] = learning_curve_to_obj(curve)
-        atomic_write_text(
-            out_dir / "learning_curve.json", json.dumps(curves, indent=2) + "\n"
-        )
+        atomic_write_text(out_dir / "learning_curve.json", json_text(curves))
 
-    for table in tables:
-        for dm in table.dimensions:
-            f1 = dm.weighted.f1 if dm.weighted else None
-            shown = f"{f1:.2f}" if f1 is not None else "-"
-            print(f"{table.site} {DIMENSION_TITLES[dm.dimension]}: weighted F1 {shown}")
+    for site, title, average, prf in average_rows(tables):
+        if average == "weighted":
+            print(f"{site} {title}: weighted F1 {f'{prf.f1:.2f}' if prf else '-'}")
     return 0
 
 

@@ -12,7 +12,8 @@ import math
 import os
 import random
 import tempfile
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .model import (
@@ -73,6 +74,10 @@ class PatientMeta:
             raise ValueError("age must be non-negative")
         if not 0 <= self.natural_teeth_count <= 32:
             raise ValueError("natural_teeth_count must be within [0, 32]")
+
+
+#: Each meta field and the one JSON-decoded type it accepts (a bool is no int here).
+_META_TYPES = typing.get_type_hints(PatientMeta)
 
 
 @dataclass(frozen=True)
@@ -164,25 +169,17 @@ def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
 
 
 def _meta_to_obj(meta: PatientMeta | None) -> dict | None:
-    if meta is None:
-        return None
-    return {
-        "age": meta.age,
-        "natural_teeth_count": meta.natural_teeth_count,
-        "has_full_mouth_radiographs": meta.has_full_mouth_radiographs,
-        "has_periodontal_charting": meta.has_periodontal_charting,
-    }
+    return None if meta is None else asdict(meta)
 
 
 def _meta_from_obj(obj: dict | None) -> PatientMeta | None:
+    """Decode meta fields, which must be JSON integers and booleans as declared."""
     if obj is None:
         return None
-    return PatientMeta(
-        age=int(obj["age"]),
-        natural_teeth_count=int(obj["natural_teeth_count"]),
-        has_full_mouth_radiographs=bool(obj["has_full_mouth_radiographs"]),
-        has_periodontal_charting=bool(obj["has_periodontal_charting"]),
-    )
+    for name, kind in _META_TYPES.items():
+        if type(obj[name]) is not kind:
+            raise ValueError(f"{name} must be {kind.__name__}, got {obj[name]!r}")
+    return PatientMeta(**{name: obj[name] for name in _META_TYPES})
 
 
 def note_to_obj(annotated: AnnotatedNote) -> dict:

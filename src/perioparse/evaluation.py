@@ -183,15 +183,20 @@ def evaluate_records(
     return matrices, MetricsTable(site, tuple(dims))
 
 
+def notes_by_site(notes) -> dict[str, list]:
+    """Annotated notes grouped by site id, sites sorted, notes in input order."""
+    sites: dict[str, list] = {}
+    for n in notes:
+        sites.setdefault(n.note.site_id, []).append(n)
+    return dict(sorted(sites.items()))
+
+
 def evaluate_corpus(gold_notes, pred_notes) -> dict[str, tuple[dict, MetricsTable]]:
     """Per-site evaluation of two aligned corpora of annotated notes."""
     pred_by_id = {n.note.note_id: n.record for n in pred_notes}
     _require_same_ids((n.note.note_id for n in gold_notes), pred_by_id)
-    sites: dict[str, list] = {}
-    for n in gold_notes:
-        sites.setdefault(n.note.site_id, []).append(n)
     results = {}
-    for site, notes in sorted(sites.items()):
+    for site, notes in notes_by_site(gold_notes).items():
         g = {n.note.note_id: n.record for n in notes}
         p = {nid: pred_by_id[nid] for nid in g}
         results[site] = evaluate_records(g, p, site=site)
@@ -218,6 +223,8 @@ def detect_stabilization(
     """
     if len(sizes) != len(values):
         raise ValueError("sizes and values must align")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     deltas = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
     for k in range(len(deltas) - window + 1):
         if all(d < epsilon for d in deltas[k : k + window]):

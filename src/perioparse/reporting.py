@@ -9,13 +9,12 @@ arrays any plotting tool can consume.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
 from .evaluation import ConfusionMatrix, LearningCurve, MetricsTable
 from .model import Dimension
-
-REPORT_FORMATS = ("text-table", "csv", "json")
 
 DIMENSION_TITLES = {
     Dimension.STATUS: "Periodontal status",
@@ -26,6 +25,19 @@ DIMENSION_TITLES = {
 }
 
 _METRIC_ATTRS = (("Precision", "precision"), ("Recall", "recall"), ("F1-score", "f1"))
+
+
+def json_text(obj) -> str:
+    """The JSON text every emitter writes: two-space indent, trailing newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def average_rows(tables: list[MetricsTable]):
+    """(site, dimension title, average name, PRF or None) in report order."""
+    for table in tables:
+        for dm in table.dimensions:
+            for avg_name, prf in (("macro", dm.macro), ("weighted", dm.weighted)):
+                yield table.site, DIMENSION_TITLES[dm.dimension], avg_name, prf
 
 
 def _fmt(value: float | None) -> str:
@@ -69,81 +81,39 @@ def render_csv(tables: list[MetricsTable]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["site", "dimension", "average", "precision", "recall", "f1"])
-    for table in tables:
-        for dm in table.dimensions:
-            for avg_name, prf in (("macro", dm.macro), ("weighted", dm.weighted)):
-                row = [table.site, DIMENSION_TITLES[dm.dimension], avg_name]
-                if prf is None:
-                    row += ["", "", ""]
-                else:
-                    row += [repr(prf.precision), repr(prf.recall), repr(prf.f1)]
-                writer.writerow(row)
+    for site, title, avg_name, prf in average_rows(tables):
+        values = ["", "", ""] if prf is None else [repr(getattr(prf, a)) for _, a in _METRIC_ATTRS]
+        writer.writerow([site, title, avg_name, *values])
     return buffer.getvalue()
 
 
 def _prf_obj(prf) -> dict | None:
-    if prf is None:
-        return None
-    return {"p": prf.precision, "r": prf.recall, "f1": prf.f1}
+    return None if prf is None else {"p": prf.precision, "r": prf.recall, "f1": prf.f1}
 
 
 def tables_to_obj(tables: list[MetricsTable]) -> list[dict]:
-    out = []
-    for table in tables:
-        for dm in table.dimensions:
-            out.append(
-                {
-                    "site": table.site,
-                    "dimension": DIMENSION_TITLES[dm.dimension],
-                    "classes": [
-                        {
-                            "value": m.value,
-                            "tp": m.tp,
-                            "fp": m.fp,
-                            "fn": m.fn,
-                            "support": m.support,
-                            "precision": m.precision,
-                            "recall": m.recall,
-                            "f1": m.f1,
-                        }
-                        for m in dm.classes
-                    ],
-                    "macro": _prf_obj(dm.macro),
-                    "weighted": _prf_obj(dm.weighted),
-                }
-            )
-    return out
-
-
-def render_report(tables: list[MetricsTable], format: str = "text-table") -> str:
-    """The metrics grid in the requested format; unknown names raise."""
-    if format == "text-table":
-        return render_text_table(tables)
-    if format == "csv":
-        return render_csv(tables)
-    if format == "json":
-        return json.dumps(tables_to_obj(tables), indent=2) + "\n"
-    raise ValueError(f"unsupported report format {format!r}; expected one of {REPORT_FORMATS}")
+    return [
+        {
+            "site": table.site,
+            "dimension": DIMENSION_TITLES[dm.dimension],
+            "classes": [dataclasses.asdict(m) for m in dm.classes],
+            "macro": _prf_obj(dm.macro),
+            "weighted": _prf_obj(dm.weighted),
+        }
+        for table in tables
+        for dm in table.dimensions
+    ]
 
 
 def bar_chart_data(tables: list[MetricsTable]) -> dict:
     """Grouped-bar payload: one bar per (dimension, site, metric, average)."""
-    bars = []
-    for table in tables:
-        for dm in table.dimensions:
-            for avg_name, prf in (("macro", dm.macro), ("weighted", dm.weighted)):
-                if prf is None:
-                    continue
-                for _, attr in _METRIC_ATTRS:
-                    bars.append(
-                        {
-                            "dimension": DIMENSION_TITLES[dm.dimension],
-                            "site": table.site,
-                            "average": avg_name,
-                            "metric": attr,
-                            "value": getattr(prf, attr),
-                        }
-                    )
+    bars = [
+        {"dimension": title, "site": site, "average": avg_name, "metric": attr,
+         "value": getattr(prf, attr)}
+        for site, title, avg_name, prf in average_rows(tables)
+        if prf is not None
+        for _, attr in _METRIC_ATTRS
+    ]
     return {"chart": "grouped_bar", "bars": bars}
 
 
@@ -178,3 +148,20 @@ def learning_curve_to_obj(curve: LearningCurve) -> dict:
             for size, f1s in curve.points
         ],
     }
+
+
+#: Report format name -> (file extension, renderer), in `--report` choice order.
+REPORT_FORMATS = {
+    "text-table": ("txt", render_text_table),
+    "csv": ("csv", render_csv),
+    "json": ("json", lambda tables: json_text(tables_to_obj(tables))),
+}
+
+
+def render_report(tables: list[MetricsTable], format: str = "text-table") -> str:
+    """The metrics grid in the requested format; unknown names raise."""
+    if format not in REPORT_FORMATS:
+        raise ValueError(
+            f"unsupported report format {format!r}; expected one of {tuple(REPORT_FORMATS)}"
+        )
+    return REPORT_FORMATS[format][1](tables)

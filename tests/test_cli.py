@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from perioparse.cli import main
+from perioparse.cli import _CONFIG_TYPES, main, read_config
 from perioparse.corpus import (
     AnnotatedNote,
     Note,
@@ -86,6 +87,30 @@ def test_cohort_uses_inline_meta_as_fallback(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert run("cohort", corpus, meta, out) == 0
     assert "1/2 eligible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("has_full_mouth_radiographs", "false"),
+        ("has_periodontal_charting", 0),
+        ("natural_teeth_count", 27.9),
+        ("age", True),
+        ("age", "40"),
+    ],
+)
+def test_cohort_rejects_mistyped_meta(tmp_path, capsys, field, value):
+    corpus = tmp_path / "in.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "x"))], corpus)
+    row = {"note_id": "n-1", "age": 40, "natural_teeth_count": 28,
+           "has_full_mouth_radiographs": True, "has_periodontal_charting": True}
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text(json.dumps({**row, field: value}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("cohort", corpus, meta, out) == 1
+    err = capsys.readouterr().err
+    assert f"{meta}:1: malformed meta record" in err and field in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -211,16 +236,24 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
 
 
 @pytest.mark.parametrize(
-    "config_text, argv",
+    "config_text, argv, named",
     [
-        ("variants_per_template = ten\n", ["synth"]),
-        ("typo_rate = x\n", ["synth"]),
-        ("", ["synth", "--variants", 0]),
-        ("", ["evaluate", "--curve", "--step", 0]),
+        ("variants_per_template = ten\n", ["synth"], "variants_per_template"),
+        ("typo_rate = x\n", ["synth"], "typo_rate"),
+        ("", ["synth", "--variants", 0], "variants_per_template"),
+        ("", ["evaluate", "--curve", "--step", 0], "--step"),
+        ("", ["evaluate", "--curve", "--window", 0], "--window"),
+        ("typo_rate = 0.5\ntypo_rat = 0.9\n", ["synth"], "'typo_rat'"),
+        ("temperature = x\n", ["synth"], "temperature"),
+        ("max_concurrent_requests = 2.5\n", ["synth"], "max_concurrent_requests"),
     ],
-    ids=["variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step"],
+    ids=[
+        "variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step",
+        "zero-curve-window", "misspelled-key", "temperature-not-a-number",
+        "fractional-concurrency",
+    ],
 )
-def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_text, argv):
+def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_text, argv, named):
     config = tmp_path / "run.cfg"
     config.write_text(config_text, encoding="utf-8")
     out = tmp_path / "out.jsonl"
@@ -233,7 +266,32 @@ def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_tex
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert named in err
     assert not out.exists() and not eval_dir.exists()
+
+
+def test_readme_lists_exactly_the_accepted_config_keys(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```", 2)[1]
+    config = tmp_path / "readme.cfg"
+    config.write_text(block, encoding="utf-8")
+    assert set(read_config(config)) == set(_CONFIG_TYPES)
+
+
+def test_offline_synth_accepts_every_config_key(tmp_path, template_file):
+    config = tmp_path / "all.cfg"
+    config.write_text(
+        "model_name = m\nendpoint_url = http://localhost:9/v1\napi_key_env = KEY\n"
+        "temperature = 0.5\ntop_p = 0.9\nmax_concurrent_requests = 2\nretry_limit = 1\n"
+        "variants_per_template = 1\nprompt_file = \n"
+        "typo_rate = 0\ninformal_format_rate = 0\nanchor_variation_rate = 0\n"
+        "multi_diagnosis_rate = 0\ndistractor_extent_rate = 0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    assert run("synth", "--offline", "--templates", template_file, "--config", config,
+               "--seed", 1, "--out", out) == 0
+    assert len(read_corpus(out)) == 45
 
 
 # --------------------------------------------------------------------------

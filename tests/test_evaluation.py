@@ -299,6 +299,13 @@ def test_never_stabilizing_curve():
     assert detect_stabilization(sizes, values, 0.01, 2) is None
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_window_below_one_rejected(window):
+    # with no window check these returned 30 and 90, though no delta is below epsilon
+    with pytest.raises(ValueError, match="window"):
+        detect_stabilization([30, 60, 90, 120], [0.1, 0.5, 0.9, 0.2], 0.01, window)
+
+
 def test_learning_curve_sizes_and_prefix_determinism():
     from perioparse.corpus import AnnotatedNote, Note
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -11,7 +12,15 @@ from perioparse.evaluation import (
     build_confusion,
     evaluate_records,
 )
-from perioparse.model import DiagnosisRecord, Dimension, Grade, PeriodontalStatus, Stage
+from perioparse.model import (
+    DiagnosisRecord,
+    Dimension,
+    Extent,
+    Grade,
+    PeriodontalStatus,
+    Stage,
+    Subtype,
+)
 from perioparse.reporting import (
     bar_chart_data,
     confusion_chart_data,
@@ -136,3 +145,56 @@ def test_learning_curve_serialization():
     assert obj["step"] == 30
     assert obj["stabilization_size"] is None
     assert obj["points"][0] == {"size": 30, "weighted_f1": {"Periodontal status": 0.9}}
+
+
+def scored_tables():
+    """Three sites scored by `evaluate_records`, so the JSON report carries class rows."""
+    G = PeriodontalStatus.GINGIVITIS
+    gold = {
+        "a": DiagnosisRecord(P, Stage.III, Grade.B, Extent.GENERALIZED),
+        "b": DiagnosisRecord(P, Stage.II, Grade.A, Extent.LOCALIZED),
+        "c": DiagnosisRecord(G, subtype=Subtype.INTACT_PERIODONTIUM),
+        "d": DiagnosisRecord(P, Stage.IV, Grade.C),
+    }
+    pred = {
+        "a": DiagnosisRecord(P, Stage.III, Grade.B, Extent.LOCALIZED),
+        "b": DiagnosisRecord(P, Stage.III, Grade.A, Extent.LOCALIZED),
+        "c": DiagnosisRecord(G),
+        "d": None,
+    }
+    _, site1 = evaluate_records(gold, pred, site="Site 1")
+    _, site2 = evaluate_records(gold, gold, site="Site 2")
+    # no gold stage, grade, extent or subtype: those averages are absent
+    _, site3 = evaluate_records({"e": DiagnosisRecord(G)}, {"e": gold["a"]}, site="Site 3")
+    return [site1, site2, site3]
+
+
+# sha256 of each rendered report; a change to these bytes is a change of output.
+_REPORT_SHA256 = {
+    ("paper", "text-table"): "ea639417a908f6504ce1a5ba878d9b15b2c900e46a88563ab002cc328107c005",
+    ("paper", "csv"): "d750976437d4d806ea36d6c046d347bd921c997a7921a2eeada7a26804a093f6",
+    ("paper", "json"): "f7a89fb6fa0fbdcbed4e1f98a48bcd0a3c13f8b0d683517941150ec132c72617",
+    ("scored", "text-table"): "62996740efeddf51e0bb0f80b2d241acbfb983c14b76ab982dac2522fb8a01ae",
+    ("scored", "csv"): "2f459f7dc241881833c62033a85f961263014a34dcb5ca4de5c43077deebb734",
+    ("scored", "json"): "e6eec028f8a492436f1b6220f040fea354d9841ba7b5088e46adbb7825ea27dd",
+}
+
+
+@pytest.mark.parametrize("fixture, fmt", sorted(_REPORT_SHA256))
+def test_report_bytes_are_pinned(fixture, fmt):
+    tables = {"paper": paper_style_tables, "scored": scored_tables}[fixture]()
+    text = render_report(tables, fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _REPORT_SHA256[fixture, fmt]
+
+
+_BAR_CHART_SHA256 = {
+    "paper": "2352049bfb009b6c60d0e09d0b8b7893999078a388d68fb580df6d4ef8e4bed5",
+    "scored": "07507fd8983c75f325756d0ee8f08ddc5793ddae0b8d623cc7de9c20615eb16f",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_BAR_CHART_SHA256))
+def test_bar_chart_bytes_are_pinned(fixture):
+    tables = {"paper": paper_style_tables, "scored": scored_tables}[fixture]()
+    text = json.dumps(bar_chart_data(tables), indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _BAR_CHART_SHA256[fixture]
