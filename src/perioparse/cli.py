@@ -71,9 +71,10 @@ _CONFIG_TYPES = {
 def read_config(path) -> dict:
     """Parse a `key = value` config file into typed values; `#` starts a comment.
 
-    An unknown key or a value of the wrong type is a usage error naming the key.
+    An unknown or repeated key, or a value of the wrong type, is a usage error naming the key.
     """
     values: dict = {}
+    seen: dict[str, int] = {}  # key -> line it was set on
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -88,6 +89,9 @@ def read_config(path) -> dict:
         if key not in _CONFIG_TYPES:
             known = ", ".join(_CONFIG_TYPES)
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}; accepted: {known}")
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _CONFIG_TYPES[key](value)
         except ValueError as exc:

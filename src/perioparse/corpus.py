@@ -7,6 +7,7 @@ diff cleanly. Note text survives read/write round trips byte-exactly.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from pathlib import Path
 from .model import (
     DIMENSIONS,
     FIELD_NAMES,
+    LEGAL_DIMENSIONS,
     VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
@@ -118,14 +120,21 @@ def span_to_obj(span: EntitySpan) -> dict:
     }
 
 
+#: Every (dimension, value) string pair a span may carry -> its (Dimension, value member).
+_SPAN_LABELS = {(dim.value, v.value): (dim, v) for dim, cls in VALUE_CLASSES.items() for v in cls}
+
+
 def span_from_obj(obj: dict, text: str) -> EntitySpan:
     """Decode one serialized span against its note text.
 
     Offsets must lie inside the text; a ``raw_text`` field, when present,
     must equal the slice it covers.
     """
-    dimension = Dimension(obj["dimension"])
-    value = VALUE_CLASSES[dimension](obj["value"])
+    try:
+        dimension, value = _SPAN_LABELS[obj["dimension"], obj.get("value")]
+    except (KeyError, TypeError):  # unknown label: decode it for the exact error
+        dimension = Dimension(obj["dimension"])
+        value = VALUE_CLASSES[dimension](obj["value"])
     start, end = int(obj["start"]), int(obj["end"])
     if not 0 <= start < end <= len(text):
         raise ValueError(
@@ -154,9 +163,25 @@ def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
 _OPTIONAL_FIELDS = tuple((FIELD_NAMES[dim], VALUE_CLASSES[dim]) for dim in DIMENSIONS[1:])
 
 
+def _legal_records():
+    """Every record LEGAL_DIMENSIONS allows: each field a status may fill, absent or set."""
+    for status, legal in LEGAL_DIMENSIONS.items():
+        choices = [(None, *VALUE_CLASSES[d]) if d in legal else (None,) for d in DIMENSIONS[1:]]
+        for optional in itertools.product(*choices):
+            yield DiagnosisRecord(status, *optional)
+
+
+#: Each of the 76 legal records, keyed by its serialized field values in field order.
+_LEGAL_RECORDS = {tuple(record_to_obj(record).values()): record for record in _legal_records()}
+
+
 def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
     if obj is None:
         return None
+    try:
+        return _LEGAL_RECORDS[tuple(map(obj.get, FIELD_NAMES.values()))]
+    except (AttributeError, KeyError, TypeError):
+        pass  # not a legal record: decode it field by field for the exact error
     status = PeriodontalStatus(obj["status"])
     optional = [
         None if (raw := obj.get(name)) is None else cls(raw) for name, cls in _OPTIONAL_FIELDS

@@ -9,6 +9,7 @@ never an averaged class.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -163,6 +164,25 @@ def _require_same_ids(gold_ids, pred_ids) -> None:
         )
 
 
+def _require_unique_ids(ids, what: str) -> None:
+    """Raise naming the first note id that occurs more than once."""
+    repeated = [note_id for note_id, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise ValueError(f"duplicate note_id {repeated[0]!r} in {what}")
+
+
+def _score(matrices: dict[Dimension, ConfusionMatrix], record_pairs, site: str) -> MetricsTable:
+    """Add each note's (gold, predicted) records to the matrices, then score them."""
+    for gold, pred in record_pairs:
+        for dim, (gold_label, pred_label) in compare_note(gold, pred).items():
+            matrices[dim].add(gold_label, pred_label)
+    dims = []
+    for dim in DIMENSIONS:
+        metrics = all_class_metrics(matrices[dim])
+        dims.append(DimensionMetrics(dim, tuple(metrics), *averages(metrics)))
+    return MetricsTable(site, tuple(dims))
+
+
 def evaluate_records(
     gold: dict[str, DiagnosisRecord | None],
     pred: dict[str, DiagnosisRecord | None],
@@ -170,17 +190,8 @@ def evaluate_records(
 ) -> tuple[dict[Dimension, ConfusionMatrix], MetricsTable]:
     """Score aligned gold/predicted records, keyed by note id."""
     _require_same_ids(gold, pred)
-    pairs: dict[Dimension, list[tuple[str, str]]] = {dim: [] for dim in DIMENSIONS}
-    for note_id in gold:
-        for dim, pair in compare_note(gold[note_id], pred[note_id]).items():
-            pairs[dim].append(pair)
-    matrices = {dim: build_confusion(pairs[dim], dim) for dim in DIMENSIONS}
-    dims = []
-    for dim in DIMENSIONS:
-        metrics = all_class_metrics(matrices[dim])
-        macro, weighted = averages(metrics)
-        dims.append(DimensionMetrics(dim, tuple(metrics), macro, weighted))
-    return matrices, MetricsTable(site, tuple(dims))
+    matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}
+    return matrices, _score(matrices, ((gold[nid], pred[nid]) for nid in gold), site)
 
 
 def notes_by_site(notes) -> dict[str, list]:
@@ -193,6 +204,8 @@ def notes_by_site(notes) -> dict[str, list]:
 
 def evaluate_corpus(gold_notes, pred_notes) -> dict[str, tuple[dict, MetricsTable]]:
     """Per-site evaluation of two aligned corpora of annotated notes."""
+    _require_unique_ids((n.note.note_id for n in gold_notes), "gold")
+    _require_unique_ids((n.note.note_id for n in pred_notes), "predictions")
     pred_by_id = {n.note.note_id: n.record for n in pred_notes}
     _require_same_ids((n.note.note_id for n in gold_notes), pred_by_id)
     results = {}
@@ -241,28 +254,25 @@ def learning_curve(
     seed: int = 0,
     dimension: Dimension = Dimension.STATUS,
 ) -> LearningCurve:
-    """Weighted F1 on seeded-shuffle prefixes of the gold pool, in fixed steps."""
+    """Weighted F1 on seeded-shuffle prefixes of the gold pool, in fixed steps, in one pass."""
     if step < 1:
         raise ValueError("step must be positive")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if len(gold_notes) < step:
         raise ValueError(f"pool of {len(gold_notes)} notes is smaller than step {step}")
+    _require_unique_ids((n.note.note_id for n in gold_notes), "gold pool")
     pool = list(gold_notes)
     random.Random(seed).shuffle(pool)
 
+    matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}
     points = []
-    tracked: list[float] = []
     sizes = list(range(step, len(pool) + 1, step))
     for size in sizes:
-        prefix = pool[:size]
-        gold = {n.note.note_id: n.record for n in prefix}
-        pred = {nid: pred_records[nid] for nid in gold}
-        _, table = evaluate_records(gold, pred, site="pool")
-        f1s: dict[Dimension, float | None] = {}
-        for dm in table.dimensions:
-            f1s[dm.dimension] = dm.weighted.f1 if dm.weighted else None
+        added = ((n.record, pred_records[n.note.note_id]) for n in pool[size - step : size])
+        table = _score(matrices, added, "pool")
+        f1s = {dm.dimension: dm.weighted.f1 if dm.weighted else None for dm in table.dimensions}
         points.append((size, f1s))
-        value = f1s[dimension]
-        tracked.append(0.0 if value is None else value)
-
+    tracked = [0.0 if f1s[dimension] is None else f1s[dimension] for _, f1s in points]
     stabilization = detect_stabilization(sizes, tracked, epsilon, window)
     return LearningCurve(step, dimension, tuple(points), stabilization)

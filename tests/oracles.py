@@ -7,6 +7,7 @@ plain loops, so a bug cannot hide on both sides of a comparison.
 
 from __future__ import annotations
 
+import random
 import re
 
 from perioparse.model import (
@@ -124,6 +125,53 @@ def oracle_metrics_from_pairs(pairs, classes):
         for k in ("precision", "recall", "f1")
     )
     return per_class, macro, weighted
+
+
+# Classes of each record field, in the library's report order, N/A last.
+_CURVE_CLASSES = {
+    "status": ["Periodontitis", "Gingivitis", "Health", "N/A"],
+    "stage": _STAGE_ORDER + ["N/A"],
+    "grade": _GRADE_ORDER + ["N/A"],
+    "extent": _EXTENT_ORDER + ["N/A"],
+    "subtype": [
+        "Intact Periodontium",
+        "Reduced Periodontium, Stable Periodontitis",
+        "Reduced Periodontium, Non-Periodontitis",
+        "N/A",
+    ],
+}
+
+
+def _field_label(record, field):
+    if record is None or getattr(record, field) is None:
+        return "N/A"
+    return getattr(record, field).value
+
+
+def oracle_learning_curve(gold_notes, pred_records, step, epsilon, window, seed, field):
+    """Each seeded-shuffle prefix re-scored from scratch with plain loops.
+
+    Returns ([(size, {field: weighted F1 or None})], stabilization size of `field`'s
+    curve or None), with the tracked curve reading an absent F1 as 0.0.
+    """
+    pool = list(gold_notes)
+    random.Random(seed).shuffle(pool)
+    points = []
+    for size in range(step, len(pool) + 1, step):
+        f1s = {}
+        for name, classes in _CURVE_CLASSES.items():
+            pairs = []
+            for note in pool[:size]:
+                pred = pred_records[note.note.note_id]
+                pairs.append((_field_label(note.record, name), _field_label(pred, name)))
+            _, _, weighted = oracle_metrics_from_pairs(pairs, classes)
+            f1s[name] = None if weighted is None else weighted[2]
+        points.append((size, f1s))
+    values = [0.0 if f1s[field] is None else f1s[field] for _, f1s in points]
+    for k in range(len(values) - window):
+        if all(abs(values[i + 1] - values[i]) < epsilon for i in range(k, k + window)):
+            return points, points[k][0]
+    return points, None
 
 
 def expand_cells_to_pairs(classes, cells):

@@ -246,11 +246,15 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
         ("typo_rate = 0.5\ntypo_rat = 0.9\n", ["synth"], "'typo_rat'"),
         ("temperature = x\n", ["synth"], "temperature"),
         ("max_concurrent_requests = 2.5\n", ["synth"], "max_concurrent_requests"),
+        (
+            "typo_rate = 0.9\ntypo_rate = 0.0\n", ["synth"],
+            ":2: config key 'typo_rate' already set on line 1",
+        ),
     ],
     ids=[
         "variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step",
         "zero-curve-window", "misspelled-key", "temperature-not-a-number",
-        "fractional-concurrency",
+        "fractional-concurrency", "duplicate-key",
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_text, argv, named):

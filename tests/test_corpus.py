@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import legal_records
+from perioparse import corpus
 from perioparse.corpus import (
     AnnotatedNote,
     AnnotationSource,
@@ -14,11 +16,21 @@ from perioparse.corpus import (
     cohort_filter,
     read_corpus,
     read_manifest,
+    record_from_obj,
+    record_to_obj,
+    span_from_obj,
     split_corpus,
     write_corpus,
     write_manifest,
 )
-from perioparse.model import DiagnosisRecord, Dimension, EntitySpan, PeriodontalStatus, Stage
+from perioparse.model import (
+    VALUE_CLASSES,
+    DiagnosisRecord,
+    Dimension,
+    EntitySpan,
+    PeriodontalStatus,
+    Stage,
+)
 
 
 def make_note(note_id, text="Routine visit.", site="site1"):
@@ -141,6 +153,58 @@ def test_invalid_record_rejected_on_read(tmp_path):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="stage not permitted"):
         read_corpus(path)
+
+
+def _decode_all():
+    records = [record_from_obj(record_to_obj(r)) for r in legal_records()]
+    spans = [
+        span_from_obj({"dimension": dim.value, "value": v.value, "start": 0, "end": 1}, "x")
+        for dim, cls in VALUE_CLASSES.items()
+        for v in cls
+    ]
+    return records, spans
+
+
+def test_lookup_tables_decode_like_the_field_by_field_path(monkeypatch):
+    records, spans = _decode_all()
+    assert len(set(records)) == 76 and set(corpus._LEGAL_RECORDS.values()) == set(records)
+    assert all(r is corpus._LEGAL_RECORDS[tuple(record_to_obj(r).values())] for r in records)
+    assert len(spans) == len(corpus._SPAN_LABELS)
+    monkeypatch.setattr(corpus, "_LEGAL_RECORDS", {})
+    monkeypatch.setattr(corpus, "_SPAN_LABELS", {})
+    assert _decode_all() == (records, spans)
+
+
+@pytest.mark.parametrize(
+    "record, span, expected",
+    [
+        ({"status": "Health", "stage": "III"}, None, "stage not permitted for health"),
+        ({"status": "Periodontitis", "stage": "V"}, None, "'V' is not a valid Stage"),
+        ({"grade": "B"}, None, "'status'"),
+        ({"status": "Health", "subtype": ["x"]}, None, "['x'] is not a valid Subtype"),
+        (None, {"dimension": "Stage", "value": "V"}, "'V' is not a valid Stage"),
+        (None, {"dimension": ["Stage"], "value": "I"}, "['Stage'] is not a valid Dimension"),
+    ],
+    ids=[
+        "health-with-stage", "unknown-stage", "missing-status", "unhashable-subtype",
+        "unknown-span-value", "unhashable-span-dimension",
+    ],
+)
+def test_decode_error_text_is_pinned(tmp_path, record, span, expected):
+    path = tmp_path / "bad.jsonl"
+    obj = {
+        "note_id": "a",
+        "site_id": "s",
+        "text": "x",
+        "provenance": "Real",
+        "annotation_source": "Gold",
+        "spans": [] if span is None else [{**span, "start": 0, "end": 1}],
+        "record": record,
+    }
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        read_corpus(path)
+    assert str(info.value) == f"{path}:1: malformed record: {expected}"
 
 
 # --------------------------------------------------------------------------

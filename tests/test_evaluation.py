@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_metrics_from_pairs
+from oracles import legal_records, oracle_learning_curve, oracle_metrics_from_pairs
+from perioparse import evaluation
+from perioparse.corpus import AnnotatedNote, Note
 from perioparse.evaluation import (
     NA,
     all_class_metrics,
@@ -15,10 +17,13 @@ from perioparse.evaluation import (
     compare_note,
     detect_stabilization,
     dimension_classes,
+    evaluate_corpus,
     evaluate_records,
     learning_curve,
 )
 from perioparse.model import (
+    DIMENSIONS,
+    FIELD_NAMES,
     DiagnosisRecord,
     Dimension,
     Extent,
@@ -326,3 +331,86 @@ def test_learning_curve_pool_smaller_than_step():
     notes = [AnnotatedNote(note=Note("n-1", "site1", "x"), record=FULL)]
     with pytest.raises(ValueError):
         learning_curve(notes, {"n-1": FULL}, step=30)
+
+
+def _pool(records):
+    return [AnnotatedNote(note=Note(f"n-{i}", "site1", "x"), record=r) for i, r in enumerate(records)]
+
+
+def _count_record_labels(monkeypatch):
+    calls = []
+    real = evaluation.record_labels
+    monkeypatch.setattr(evaluation, "record_labels", lambda r: calls.append(r) or real(r))
+    return calls
+
+
+def test_learning_curve_checks_window_before_scoring(monkeypatch):
+    calls = _count_record_labels(monkeypatch)
+    notes = _pool([FULL] * 90)
+    with pytest.raises(ValueError, match="window must be at least 1, got 0"):
+        learning_curve(notes, {n.note.note_id: FULL for n in notes}, step=30, window=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("step", [1, 7, 30, 450])
+def test_learning_curve_labels_each_note_once(monkeypatch, step):
+    # Re-scoring every prefix labelled about N * N / step notes. Notes past the
+    # last full step are in no point, so they are not labelled and need no prediction.
+    calls = _count_record_labels(monkeypatch)
+    notes = _pool([FULL, DiagnosisRecord(P, Stage.I), None] * 150)
+    shuffled = list(notes)
+    random.Random(0).shuffle(shuffled)
+    scored = shuffled[: 450 // step * step]
+    curve = learning_curve(notes, {n.note.note_id: FULL for n in scored}, step=step)
+    assert len(curve.points) == 450 // step
+    assert len(calls) == 2 * len(scored)
+
+
+def test_learning_curve_rejects_duplicate_note_ids():
+    notes = _pool([FULL] * 30)
+    preds = {n.note.note_id: FULL for n in notes}
+    with pytest.raises(ValueError, match="duplicate note_id 'n-0' in gold pool"):
+        learning_curve(notes + notes, preds, step=30)
+
+
+@pytest.mark.parametrize("side", ["gold", "predictions"])
+def test_evaluate_corpus_rejects_duplicate_note_ids(side):
+    # Keyed by id, the repeat was silently scored once (for predictions, the last one won).
+    notes = _pool([FULL, None, FULL])
+    repeated = [notes[0], notes[1], notes[2], notes[1]]
+    gold, pred = (repeated, notes) if side == "gold" else (notes, repeated)
+    with pytest.raises(ValueError, match=f"duplicate note_id 'n-1' in {side}"):
+        evaluate_corpus(gold, pred)
+
+
+_LEGAL = legal_records()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.sampled_from(_LEGAL)),
+            st.one_of(st.none(), st.sampled_from(_LEGAL)),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    step=st.integers(min_value=1, max_value=25),
+    seed=st.integers(min_value=0, max_value=2**31),
+    epsilon=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+    window=st.integers(min_value=1, max_value=3),
+    dimension=st.sampled_from(DIMENSIONS),
+)
+def test_learning_curve_matches_per_prefix_oracle(records, step, seed, epsilon, window, dimension):
+    if step > len(records):
+        step = len(records)
+    notes = _pool([gold for gold, _ in records])
+    preds = {n.note.note_id: pred for n, (_, pred) in zip(notes, records)}
+    curve = learning_curve(notes, preds, step, epsilon, window, seed, dimension)
+    points, stabilization = oracle_learning_curve(
+        notes, preds, step, epsilon, window, seed, FIELD_NAMES[dimension]
+    )
+    named = [(size, {FIELD_NAMES[d]: f1 for d, f1 in f1s.items()}) for size, f1s in curve.points]
+    assert named == points
+    assert curve.stabilization_size == stabilization
