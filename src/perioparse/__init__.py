@@ -11,9 +11,11 @@ from .corpus import (
     CorpusFormatError,
     Note,
     PatientMeta,
+    PredictionFileError,
     Provenance,
     SplitManifest,
     cohort_filter,
+    load_external_predictions,
     read_corpus,
     split_corpus,
     write_corpus,
@@ -34,13 +36,11 @@ from .evaluation import (
     learning_curve,
 )
 from .extraction import (
-    PredictionFileError,
     Token,
     detect_status_rulebased,
     diagnose,
     extract_entities,
     extract_statements,
-    load_external_predictions,
     tokenize,
 )
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm

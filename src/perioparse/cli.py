@@ -8,6 +8,8 @@ validation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 import typing
 from pathlib import Path
@@ -17,6 +19,7 @@ from .corpus import (
     CorpusFormatError,
     atomic_write_text,
     cohort_filter,
+    load_external_predictions,
     read_corpus,
     read_patient_meta,
     split_corpus,
@@ -24,7 +27,7 @@ from .corpus import (
     write_manifest,
 )
 from .evaluation import evaluate_corpus, learning_curve, notes_by_site
-from .extraction import PredictionFileError, diagnose, load_external_predictions
+from .extraction import diagnose
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
 from .model import Dimension, Statement
 from .normalization import adjudicate, classify_guideline_version, infer_status_context
@@ -57,8 +60,6 @@ class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-# Config keys of the optional online generation settings.
-_GENERATION_KEYS = ("temperature", "top_p", "max_concurrent_requests", "retry_limit", "api_key_env")
 # Every accepted config key and the type its value converts to; the request
 # timeout is a library setting only.
 _CONFIG_TYPES = {
@@ -107,8 +108,8 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         weights = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"--ratios has a non-numeric part: {text!r}") from exc
-    if any(w <= 0 for w in weights):
-        raise UsageError(f"--ratios parts must all be positive, got {text!r}")
+    if not all(0 < w < math.inf for w in weights):
+        raise UsageError(f"--ratios parts must all be positive and finite, got {text!r}")
     total = sum(weights)
     return tuple(w / total for w in weights)
 
@@ -118,11 +119,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 def _cmd_cohort(args) -> int:
     notes = read_corpus(args.corpus_in)
-    try:
-        meta_by_id = read_patient_meta(args.meta_in)
-    except FileNotFoundError:
-        print(f"error: meta file not found: {args.meta_in}", file=sys.stderr)
-        return 1
+    meta_by_id = read_patient_meta(args.meta_in)
     eligible = []
     for annotated in notes:
         meta = meta_by_id.get(annotated.note.note_id, annotated.meta)
@@ -144,6 +141,8 @@ def _cmd_synth(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("--seed is required when selecting templates from a corpus")
+        if args.per_category < 1:
+            raise UsageError(f"--per-category must be at least 1, got {args.per_category}")
         templates = select_seed_templates(
             read_corpus(args.corpus), per_category=args.per_category, seed=args.seed
         )
@@ -170,13 +169,9 @@ def _cmd_synth(args) -> int:
             if key not in config:
                 raise UsageError(f"--online requires {key!r} in the config file")
         try:
-            settings = {key: config[key] for key in _GENERATION_KEYS if key in config}
-            gen_config = GenerationConfig(
-                model_name=config["model_name"],
-                endpoint_url=config["endpoint_url"],
-                variants_per_template=variants,
-                **settings,
-            )
+            fields = {f.name for f in dataclasses.fields(GenerationConfig)}
+            settings = {key: value for key, value in config.items() if key in fields}
+            gen_config = GenerationConfig(**{**settings, "variants_per_template": variants})
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         notes = generate_llm(templates, gen_config, sections)
@@ -231,7 +226,7 @@ def _cmd_extract(args) -> int:
             spans, record = diagnose(annotated.note.text, args.mode)
         else:
             # External spans carry no statement structure: adjudicate them as one.
-            spans = tuple(predictions.get(annotated.note.note_id, ()))
+            spans = predictions.get(annotated.note.note_id, ())
             record = adjudicate(infer_status_context([Statement(spans)]))
         extracted.append(
             annotated.with_(
@@ -368,7 +363,6 @@ def main(argv=None) -> int:
         return 2
     except (
         CorpusFormatError,
-        PredictionFileError,
         TemplateSelectionError,
         GenerationError,
         FileNotFoundError,

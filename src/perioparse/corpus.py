@@ -38,6 +38,10 @@ class CorpusFormatError(ValueError):
     """A corpus or manifest file violated the expected format."""
 
 
+class PredictionFileError(CorpusFormatError):
+    """A prediction file failed validation against its corpus."""
+
+
 class Provenance(enum.Enum):
     REAL = "Real"
     LLM_GENERATED = "LLMGenerated"
@@ -149,6 +153,15 @@ def span_from_obj(obj: dict, text: str) -> EntitySpan:
     return EntitySpan(dimension, value, start, end, raw)
 
 
+def _spans_from_objs(objs, text: str) -> tuple[EntitySpan, ...]:
+    """Decode a note's spans; out-of-bounds, mismatched or overlapping spans raise."""
+    spans = tuple(span_from_obj(s, text) for s in objs)
+    problems = span_violations(text, list(spans))
+    if problems:
+        raise ValueError("; ".join(problems))
+    return spans
+
+
 def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
     if record is None:
         return None
@@ -193,10 +206,6 @@ def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
     return record
 
 
-def _meta_to_obj(meta: PatientMeta | None) -> dict | None:
-    return None if meta is None else asdict(meta)
-
-
 def _meta_from_obj(obj: dict | None) -> PatientMeta | None:
     """Decode meta fields, which must be JSON integers and booleans as declared."""
     if obj is None:
@@ -218,7 +227,7 @@ def note_to_obj(annotated: AnnotatedNote) -> dict:
         "record": record_to_obj(annotated.record),
     }
     if annotated.meta is not None:
-        obj["meta"] = _meta_to_obj(annotated.meta)
+        obj["meta"] = asdict(annotated.meta)
     if annotated.guideline_version is not None:
         obj["guideline_version"] = annotated.guideline_version.value
     if annotated.qa is not None:
@@ -234,14 +243,10 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
         text=text,
         provenance=Provenance(obj["provenance"]),
     )
-    spans = tuple(span_from_obj(s, text) for s in obj.get("spans", []))
-    problems = span_violations(text, list(spans))
-    if problems:
-        raise ValueError("; ".join(problems))
     gv = obj.get("guideline_version")
     return AnnotatedNote(
         note=note,
-        spans=spans,
+        spans=_spans_from_objs(obj.get("spans", []), text),
         record=record_from_obj(obj.get("record")),
         annotation_source=AnnotationSource(obj["annotation_source"]),
         meta=_meta_from_obj(obj.get("meta")),
@@ -265,49 +270,67 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def first_repeated_id(ids):
+    """The first id that occurs a second time, or None when all are distinct."""
+    seen = set()
+    for note_id in ids:
+        if note_id in seen:
+            return note_id
+        seen.add(note_id)
+    return None
+
+
 def write_corpus(notes, path) -> None:
-    ids = [n.note.note_id for n in notes]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
+    dup = first_repeated_id(n.note.note_id for n in notes)
+    if dup is not None:
         raise CorpusFormatError(f"duplicate note_id {dup!r} in corpus")
     lines = [json.dumps(note_to_obj(n), ensure_ascii=False) for n in notes]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_corpus(path) -> list[AnnotatedNote]:
-    """Parse a corpus file; malformed lines and duplicate ids raise with context."""
-    notes: list[AnnotatedNote] = []
-    seen: set[str] = set()
+def _read_lines(path, decode, what: str, error=CorpusFormatError) -> dict:
+    """{note_id: value} per JSON line via `decode`; a bad or repeated-id line raises `error`."""
+    out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                annotated = note_from_obj(obj)
+                note_id, value = decode(json.loads(line))
+                repeated = note_id in out
             except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            note_id = annotated.note.note_id
-            if note_id in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate note_id {note_id!r}")
-            seen.add(note_id)
-            notes.append(annotated)
-    return notes
+                raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+            if repeated:
+                raise error(f"{path}:{lineno}: duplicate note_id {note_id!r}")
+            out[note_id] = value
+    return out
+
+
+def read_corpus(path) -> list[AnnotatedNote]:
+    """Parse a corpus file; malformed lines and duplicate ids raise with context."""
+    notes = _read_lines(path, lambda obj: (obj["note_id"], note_from_obj(obj)), "record")
+    return list(notes.values())
 
 
 def read_patient_meta(path) -> dict[str, PatientMeta]:
     """Read a line-delimited meta file mapping note_id to PatientMeta fields."""
-    out: dict[str, PatientMeta] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out[obj["note_id"]] = _meta_from_obj(obj)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed meta record: {exc}") from exc
-    return out
+    return _read_lines(path, lambda obj: (obj["note_id"], _meta_from_obj(obj)), "meta record")
+
+
+def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]:
+    """Predicted spans by note id, checked against the corpus like corpus spans."""
+    texts = {n.note.note_id: n.note.text for n in corpus}
+
+    def decode(obj):
+        note_id = obj["note_id"]
+        if note_id not in texts:
+            raise ValueError(f"unknown note_id {note_id!r}")
+        try:
+            return note_id, _spans_from_objs(obj.get("spans", []), texts[note_id])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"note {note_id!r}: {exc}") from exc
+
+    return _read_lines(path, decode, "prediction record", PredictionFileError)
 
 
 # --------------------------------------------------------------------------
@@ -346,8 +369,9 @@ def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
         raise ValueError(
             f"cannot split {len(ids)} notes into {len(PARTITIONS)} partitions"
         )
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate note_id in corpus")
+    dup = first_repeated_id(ids)
+    if dup is not None:
+        raise ValueError(f"duplicate note_id {dup!r} in corpus")
 
     n = len(ids)
     n_val = math.floor(ratios[1] * n)

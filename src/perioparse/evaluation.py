@@ -9,10 +9,10 @@ never an averaged class.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from .corpus import first_repeated_id
 from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension
 
 NA = "N/A"
@@ -165,10 +165,10 @@ def _require_same_ids(gold_ids, pred_ids) -> None:
 
 
 def _require_unique_ids(ids, what: str) -> None:
-    """Raise naming the first note id that occurs more than once."""
-    repeated = [note_id for note_id, n in Counter(ids).items() if n > 1]
-    if repeated:
-        raise ValueError(f"duplicate note_id {repeated[0]!r} in {what}")
+    """Raise naming the first note id that repeats."""
+    repeated = first_repeated_id(ids)
+    if repeated is not None:
+        raise ValueError(f"duplicate note_id {repeated!r} in {what}")
 
 
 def _score(matrices: dict[Dimension, ConfusionMatrix], record_pairs, site: str) -> MetricsTable:

@@ -14,12 +14,10 @@ head is an unrelated noun (e.g. "Generalized Recession") yield no span.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from dataclasses import dataclass
 
-from .corpus import span_from_obj
 from .model import (
     DiagnosisRecord,
     Dimension,
@@ -429,35 +427,3 @@ def diagnose(
     statements = extract_statements(text, mode)
     spans = tuple(span for statement in statements for span in statement.spans)
     return spans, adjudicate(infer_status_context(statements))
-
-
-class PredictionFileError(ValueError):
-    """A prediction file failed validation against its corpus."""
-
-
-def load_external_predictions(path, corpus) -> dict[str, list[EntitySpan]]:
-    """Load model predictions (note_id + spans per line) validated against a corpus."""
-    by_id = {n.note.note_id: n.note for n in corpus}
-    predictions: dict[str, list[EntitySpan]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PredictionFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            note_id = obj.get("note_id")
-            if note_id not in by_id:
-                raise PredictionFileError(f"{path}:{lineno}: unknown note_id {note_id!r}")
-            text = by_id[note_id].text
-            spans = []
-            for raw_span in obj.get("spans", []):
-                try:
-                    spans.append(span_from_obj(raw_span, text))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise PredictionFileError(
-                        f"{path}:{lineno}: note {note_id!r}: {exc}"
-                    ) from exc
-            predictions[note_id] = spans
-    return predictions

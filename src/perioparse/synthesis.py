@@ -98,6 +98,8 @@ def select_seed_templates(
     Sampling is uniform without replacement within each category and
     deterministic under the seed.
     """
+    if per_category < 1:
+        raise ValueError(f"per_category must be at least 1, got {per_category}")
     pools: dict[PeriodontalStatus, list[AnnotatedNote]] = {s: [] for s in PeriodontalStatus}
     for annotated in corpus:
         detected = detect_status_rulebased(annotated.note.text)

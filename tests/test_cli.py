@@ -113,6 +113,21 @@ def test_cohort_rejects_mistyped_meta(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+def test_cohort_rejects_repeated_meta_id(tmp_path, capsys):
+    # A second line for an id must not silently override the first (age 10 is ineligible).
+    corpus = tmp_path / "in.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "x"))], corpus)
+    row = {"note_id": "n-1", "age": 40, "natural_teeth_count": 28,
+           "has_full_mouth_radiographs": True, "has_periodontal_charting": True}
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text(json.dumps(row) + "\n" + json.dumps({**row, "age": 10}) + "\n",
+                    encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("cohort", corpus, meta, out) == 1
+    assert f"{meta}:2: duplicate note_id 'n-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # synth
 
@@ -274,6 +289,22 @@ def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_tex
     assert not out.exists() and not eval_dir.exists()
 
 
+@pytest.mark.parametrize("per_category", [0, -1])
+def test_synth_per_category_below_one_is_usage_error(tmp_path, capsys, per_category):
+    corpus = tmp_path / "seeds.jsonl"
+    write_corpus(demo_seed_notes(per_category=2), corpus)
+    out = tmp_path / "synth.jsonl"
+    code = run(
+        "synth", "--offline", "--corpus", corpus, "--per-category", per_category,
+        "--seed", 3, "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--per-category" in err
+    assert not out.exists()
+
+
 def test_readme_lists_exactly_the_accepted_config_keys(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config file", 1)[1].split("```", 2)[1]
@@ -318,6 +349,19 @@ def test_split_zero_ratio_is_usage_error(tmp_path, template_file):
         "--variants", 1, "--out", synth_out)
     code = run("split", synth_out, tmp_path / "m.json", "--ratios", "9:1:0", "--seed", 1)
     assert code == 2
+
+
+@pytest.mark.parametrize("ratios", ["nan:1:1", "inf:1:1"])
+def test_split_non_finite_ratio_is_usage_error(tmp_path, template_file, capsys, ratios):
+    synth_out = tmp_path / "synth.jsonl"
+    run("synth", "--offline", "--templates", template_file, "--seed", 7,
+        "--variants", 1, "--out", synth_out)
+    capsys.readouterr()
+    manifest = tmp_path / "m.json"
+    assert run("split", synth_out, manifest, "--ratios", ratios, "--seed", 1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--ratios" in err
+    assert not manifest.exists()
 
 
 def test_split_byte_identical_reruns(tmp_path, template_file):
@@ -434,3 +478,33 @@ def test_full_pipeline_evaluate_report_csv(tmp_path, template_file):
     out_dir = tmp_path / "eval"
     assert run("evaluate", corpus, pred, out_dir, "--report", "csv") == 0
     assert (out_dir / "report.csv").read_text().startswith("site,dimension,average")
+
+
+# Note text "D: Stage II periodontitis": "Stage" spans [3,8) and "II" spans [9,11).
+_STAGE_II = {"dimension": "Stage", "value": "II", "start": 9, "end": 11}
+
+
+@pytest.mark.parametrize(
+    "lines, bad_line",
+    [
+        (['{"note_id": "n-1", "spans": []}', "[1, 2]"], 2),
+        (['{"note_id": "n-1", "spans": 5}'], 1),
+        (['{"note_id": "n-1", "spans": []}', '{"note_id": "n-2", "spans": []}',
+          '{"note_id": "n-1", "spans": []}'], 3),
+        ([json.dumps({"note_id": "n-1", "spans": [
+            _STAGE_II, {"dimension": "Stage", "value": "II", "start": 6, "end": 11}]})], 1),
+    ],
+    ids=["non-object-line", "spans-not-a-list", "repeated-note-id", "overlapping-spans"],
+)
+def test_extract_rejects_bad_prediction_lines(tmp_path, capsys, lines, bad_line):
+    corpus = tmp_path / "in.jsonl"
+    write_corpus([AnnotatedNote(note=Note(f"n-{i}", "site1", "D: Stage II periodontitis"))
+                  for i in (1, 2)], corpus)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("extract", corpus, out, "--extractor", f"predictions={preds}") == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert f"{preds}:{bad_line}:" in err_lines[0]
+    assert not out.exists()

@@ -123,6 +123,20 @@ def test_duplicate_note_id_is_named(tmp_path):
         read_corpus(path)
 
 
+def test_write_and_read_name_the_same_repeated_id(tmp_path):
+    # n-8 repeats first (third line), though n-7 occurs first.
+    notes = [make_note("n-7"), make_note("n-8"), make_note("n-8"), make_note("n-7")]
+    with pytest.raises(CorpusFormatError, match="duplicate note_id 'n-8' in corpus"):
+        write_corpus(notes, tmp_path / "never.jsonl")
+    assert not (tmp_path / "never.jsonl").exists()
+    path = tmp_path / "dup.jsonl"
+    write_corpus(notes[:2], path)
+    a, b = path.read_text().splitlines()
+    path.write_text("\n".join([a, b, b, a]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"{path}:3: duplicate note_id 'n-8'"):
+        read_corpus(path)
+
+
 def test_out_of_bounds_span_rejected_on_read(tmp_path):
     path = tmp_path / "span.jsonl"
     obj = {
@@ -249,6 +263,12 @@ def test_split_errors():
         split_corpus(notes, ratios=(0.9, 0.1, 0.0), seed=0)
     with pytest.raises(ValueError):
         split_corpus(notes, ratios=(0.5, 0.3, 0.3), seed=0)
+
+
+def test_split_names_the_repeated_id():
+    notes = [make_note(f"n-{i}") for i in range(10)] + [make_note("n-4")]
+    with pytest.raises(ValueError, match="duplicate note_id 'n-4' in corpus"):
+        split_corpus(notes, seed=0)
 
 
 def test_manifest_round_trip_and_byte_identical(tmp_path):

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from oracles import oracle_detect_status_rulebased
 
 from perioparse import extraction
-from perioparse.corpus import AnnotatedNote, Note
+from perioparse.corpus import AnnotatedNote, Note, PredictionFileError, load_external_predictions
 from perioparse.demo import demo_seed_templates
 from perioparse.extraction import (
     _SENTENCE_RE,
     GRAMMAR_WORDS,
     MODES,
-    PredictionFileError,
     detect_status_rulebased,
     diagnose,
     extract_entities,
     extract_statements,
-    load_external_predictions,
     reconstruct,
     tokenize,
 )

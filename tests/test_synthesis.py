@@ -55,6 +55,13 @@ def test_select_insufficient_category_names_shortfall():
         select_seed_templates(corpus, per_category=15, seed=1)
 
 
+@pytest.mark.parametrize("per_category", [0, -1])
+def test_select_rejects_per_category_below_one(per_category):
+    corpus = demo_seed_notes(per_category=2)
+    with pytest.raises(ValueError, match=f"per_category must be at least 1, got {per_category}"):
+        select_seed_templates(corpus, per_category=per_category, seed=1)
+
+
 def test_select_deterministic_under_seed():
     corpus = demo_seed_notes(per_category=25)
     a = select_seed_templates(corpus, per_category=10, seed=7)
