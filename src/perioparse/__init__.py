@@ -41,6 +41,7 @@ from .extraction import (
     diagnose,
     extract_entities,
     extract_statements,
+    normalize_value,
     tokenize,
 )
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
@@ -62,7 +63,6 @@ from .normalization import (
     adjudicate,
     classify_guideline_version,
     infer_status_context,
-    normalize_value,
 )
 from .synthesis import (
     CLEAN,

@@ -108,9 +108,9 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         weights = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"--ratios has a non-numeric part: {text!r}") from exc
-    if not all(0 < w < math.inf for w in weights):
-        raise UsageError(f"--ratios parts must all be positive and finite, got {text!r}")
     total = sum(weights)
+    if not (all(w > 0 for w in weights) and total < math.inf):
+        raise UsageError(f"--ratios parts must be positive with a finite sum, got {text!r}")
     return tuple(w / total for w in weights)
 
 

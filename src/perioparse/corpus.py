@@ -206,14 +206,19 @@ def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
     return record
 
 
+def _field(obj: dict, name: str, kind: type):
+    """obj[name], which must be a JSON value of exactly `kind` (no bool for int)."""
+    value = obj[name]
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _meta_from_obj(obj: dict | None) -> PatientMeta | None:
     """Decode meta fields, which must be JSON integers and booleans as declared."""
     if obj is None:
         return None
-    for name, kind in _META_TYPES.items():
-        if type(obj[name]) is not kind:
-            raise ValueError(f"{name} must be {kind.__name__}, got {obj[name]!r}")
-    return PatientMeta(**{name: obj[name] for name in _META_TYPES})
+    return PatientMeta(**{name: _field(obj, name, kind) for name, kind in _META_TYPES.items()})
 
 
 def note_to_obj(annotated: AnnotatedNote) -> dict:
@@ -236,10 +241,10 @@ def note_to_obj(annotated: AnnotatedNote) -> dict:
 
 
 def note_from_obj(obj: dict) -> AnnotatedNote:
-    text = obj["text"]
+    text = _field(obj, "text", str)
     note = Note(
-        note_id=obj["note_id"],
-        site_id=obj["site_id"],
+        note_id=obj["note_id"],  # checked by _read_lines
+        site_id=_field(obj, "site_id", str),
         text=text,
         provenance=Provenance(obj["provenance"]),
     )
@@ -289,18 +294,19 @@ def write_corpus(notes, path) -> None:
 
 
 def _read_lines(path, decode, what: str, error=CorpusFormatError) -> dict:
-    """{note_id: value} per JSON line via `decode`; a bad or repeated-id line raises `error`."""
+    """{note_id: decode(obj)} per JSON line; a bad line or a non-string or repeated id raises."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                note_id, value = decode(json.loads(line))
-                repeated = note_id in out
+                obj = json.loads(line)
+                note_id = _field(obj, "note_id", str)
+                value = decode(obj)
             except (ValueError, KeyError, TypeError) as exc:
                 raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-            if repeated:
+            if note_id in out:
                 raise error(f"{path}:{lineno}: duplicate note_id {note_id!r}")
             out[note_id] = value
     return out
@@ -308,13 +314,12 @@ def _read_lines(path, decode, what: str, error=CorpusFormatError) -> dict:
 
 def read_corpus(path) -> list[AnnotatedNote]:
     """Parse a corpus file; malformed lines and duplicate ids raise with context."""
-    notes = _read_lines(path, lambda obj: (obj["note_id"], note_from_obj(obj)), "record")
-    return list(notes.values())
+    return list(_read_lines(path, note_from_obj, "record").values())
 
 
 def read_patient_meta(path) -> dict[str, PatientMeta]:
     """Read a line-delimited meta file mapping note_id to PatientMeta fields."""
-    return _read_lines(path, lambda obj: (obj["note_id"], _meta_from_obj(obj)), "meta record")
+    return _read_lines(path, _meta_from_obj, "meta record")
 
 
 def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]:
@@ -326,7 +331,7 @@ def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]
         if note_id not in texts:
             raise ValueError(f"unknown note_id {note_id!r}")
         try:
-            return note_id, _spans_from_objs(obj.get("spans", []), texts[note_id])
+            return _spans_from_objs(obj.get("spans", []), texts[note_id])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"note {note_id!r}: {exc}") from exc
 

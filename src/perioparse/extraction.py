@@ -1,5 +1,9 @@
 """Rule-grammar extraction of diagnosis entities from note text.
 
+This module alone decides what a surface string means: it holds the
+dimension vocabularies, and `normalize_value` reads one span string by the
+rules the grammar applies to a note.
+
 The tokenizer is non-destructive: tokens plus the whitespace between them
 reconstruct the input byte for byte, so character offsets stay valid no
 matter what consumes them downstream.
@@ -7,9 +11,10 @@ matter what consumes them downstream.
 The grammar recognizes diagnosis statements (anchored by "D:", "Dx:",
 "Diagnosis:", "D-", or opening a sentence) and, inside them, status words,
 stage and grade markers, extent adjectives, and periodontium subtype
-phrases. Entity words tolerate a single-character typo. Extent adjectives
-attach to the nearest status-like head on their right; adjectives whose
-head is an unrelated noun (e.g. "Generalized Recession") yield no span.
+phrases. Entity words of four or more letters tolerate a single-character
+typo. Extent adjectives attach to the nearest status-like head on their
+right; adjectives whose head is an unrelated noun (e.g. "Generalized
+Recession") yield no span.
 """
 
 from __future__ import annotations
@@ -22,24 +27,34 @@ from .model import (
     DiagnosisRecord,
     Dimension,
     EntitySpan,
+    Extent,
+    Grade,
     PeriodontalStatus,
+    Stage,
     Statement,
     Subtype,
     join,
 )
-from .normalization import (
-    ARABIC_STAGES,
-    EXTENT_VOCAB,
-    GRADE_LETTERS,
-    ROMAN_STAGES,
-    STATUS_VOCAB,
-    adjudicate,
-    infer_status_context,
-    within_one_edit,
-)
+from .normalization import adjudicate, infer_status_context
 
 # Words that, followed by ":" or "-", open a diagnosis region.
 _ANCHORS = ("d", "dx", "diagnosis")
+
+STATUS_VOCAB: dict[str, PeriodontalStatus] = {
+    "periodontitis": PeriodontalStatus.PERIODONTITIS,
+    "gingivitis": PeriodontalStatus.GINGIVITIS,
+    "health": PeriodontalStatus.HEALTH,
+    "healthy": PeriodontalStatus.HEALTH,
+}
+
+EXTENT_VOCAB: dict[str, Extent] = {
+    "localized": Extent.LOCALIZED,
+    "generalized": Extent.GENERALIZED,
+}
+
+ROMAN_STAGES: dict[str, Stage] = {"i": Stage.I, "ii": Stage.II, "iii": Stage.III, "iv": Stage.IV}
+ARABIC_STAGES: dict[str, Stage] = {"1": Stage.I, "2": Stage.II, "3": Stage.III, "4": Stage.IV}
+GRADE_LETTERS: dict[str, Grade] = {"a": Grade.A, "b": Grade.B, "c": Grade.C}
 
 #: Every word the grammar matches with one edit allowed (see `_match_word`).
 #: The offline typo injector rejects a typo within one edit of any of them
@@ -118,6 +133,26 @@ def reconstruct(text: str, tokens: list[Token]) -> str:
         cursor = tok.end
     pieces.append(text[cursor:])
     return "".join(pieces)
+
+
+def within_one_edit(a: str, b: str) -> bool:
+    """True iff Levenshtein distance between a and b is at most 1."""
+    if a == b:
+        return True
+    la, lb = len(a), len(b)
+    if abs(la - lb) > 1:
+        return False
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    # a is the shorter (or equal-length) string
+    i = 0
+    while i < la and a[i] == b[i]:
+        i += 1
+    if la == lb:
+        # one substitution allowed
+        return a[i + 1 :] == b[i + 1 :]
+    # one insertion into a allowed
+    return a[i:] == b[i + 1 :]
 
 
 def _match_word(token_lower: str, word: str) -> bool:
@@ -222,17 +257,44 @@ def _match_subtype(tokens: list[Token], i: int):
     return None, j  # bare "reduced periodontium": consume, no value
 
 
-def _vocab_value(low: str, vocab: dict, sentence_text: str):
-    """The value of the first `vocab` word `low` matches, or None.
+def _vocab_value(low: str, vocab: dict, sentence_text: str | None = None):
+    """The value of the `vocab` word `low` matches, or None.
 
-    Health words count only in a sentence with periodontal context.
+    Words of different value are three or more edits apart, so at most one
+    value matches. Health words need periodontal context in `sentence_text`, if given.
     """
     for word, value in vocab.items():
         if _match_word(low, word):
-            if value is PeriodontalStatus.HEALTH and not _PERIO_CONTEXT.search(sentence_text):
-                return None
+            if value is PeriodontalStatus.HEALTH and sentence_text is not None:
+                return value if _PERIO_CONTEXT.search(sentence_text) else None
             return value
     return None
+
+
+def normalize_value(dimension: Dimension, raw_text: str):
+    """The value one span string denotes under the grammar's rules, or None.
+
+    Stages are roman I-IV or arabic 1-4, grades a letter, in any case. Words
+    match as in a note, one edit allowed in a word of four or more letters;
+    a subtype phrase may use the connectors the grammar skips ("with", "on
+    a", ",", ...) and must end on its last token.
+    """
+    raw = raw_text.strip().lower()
+    if not raw:
+        return None
+    if dimension is Dimension.STAGE:
+        return ROMAN_STAGES.get(raw) or ARABIC_STAGES.get(raw)
+    if dimension is Dimension.GRADE:
+        return GRADE_LETTERS.get(raw)
+    if dimension is Dimension.STATUS:
+        return _vocab_value(raw, STATUS_VOCAB)
+    if dimension is Dimension.EXTENT:
+        return _vocab_value(raw, EXTENT_VOCAB)
+    if dimension is Dimension.SUBTYPE:
+        tokens = tokenize(raw)
+        value, last = _match_subtype(tokens, 0) or (None, -1)
+        return value if last == len(tokens) - 1 else None
+    raise ValueError(f"unknown dimension {dimension!r}")
 
 
 def _token_span(dimension: Dimension, value, tok: Token) -> EntitySpan:

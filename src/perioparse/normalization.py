@@ -1,14 +1,15 @@
-"""Canonicalization and adjudication of raw diagnosis values.
+"""From extracted spans to one diagnosis record per note.
 
-Raw surface strings (numerals, case variants, one-character typos) are mapped
-onto the closed vocabularies of the five dimensions, and multiple detected
-diagnoses are collapsed into the single most severe per-patient record.
+Each statement's spans give at most one candidate record, the candidates
+of a note are collapsed into the single most severe record, and a
+periodontitis record is flagged by the guideline generation it reflects.
+Spans arrive already canonical: what a surface string means is decided in
+`extraction.py` alone.
 """
 
 from __future__ import annotations
 
 import enum
-import re
 from collections.abc import Iterable, Sequence
 
 from .model import (
@@ -33,94 +34,6 @@ class GuidelineVersion(enum.Enum):
     CURRENT_2018 = "Current2018"
     LEGACY = "Legacy"
     NOT_APPLICABLE = "NotApplicable"
-
-
-def within_one_edit(a: str, b: str) -> bool:
-    """True iff Levenshtein distance between a and b is at most 1."""
-    if a == b:
-        return True
-    la, lb = len(a), len(b)
-    if abs(la - lb) > 1:
-        return False
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    # a is the shorter (or equal-length) string
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    if la == lb:
-        # one substitution allowed
-        return a[i + 1 :] == b[i + 1 :]
-    # one insertion into a allowed
-    return a[i:] == b[i + 1 :]
-
-
-STATUS_VOCAB: dict[str, PeriodontalStatus] = {
-    "periodontitis": PeriodontalStatus.PERIODONTITIS,
-    "gingivitis": PeriodontalStatus.GINGIVITIS,
-    "health": PeriodontalStatus.HEALTH,
-    "healthy": PeriodontalStatus.HEALTH,
-}
-
-EXTENT_VOCAB: dict[str, Extent] = {
-    "localized": Extent.LOCALIZED,
-    "generalized": Extent.GENERALIZED,
-}
-
-ROMAN_STAGES: dict[str, Stage] = {"i": Stage.I, "ii": Stage.II, "iii": Stage.III, "iv": Stage.IV}
-ARABIC_STAGES: dict[str, Stage] = {"1": Stage.I, "2": Stage.II, "3": Stage.III, "4": Stage.IV}
-GRADE_LETTERS: dict[str, Grade] = {"a": Grade.A, "b": Grade.B, "c": Grade.C}
-
-SUBTYPE_VOCAB: dict[str, Subtype] = {
-    "intact periodontium": Subtype.INTACT_PERIODONTIUM,
-    "reduced periodontium stable periodontitis": Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS,
-    "reduced periodontium past periodontitis": Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS,
-    "reduced periodontium past stable periodontitis": Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS,
-    "reduced periodontium non periodontitis": Subtype.REDUCED_PERIODONTIUM_NON_PERIODONTITIS,
-}
-
-_NON_ALNUM = re.compile(r"[^0-9a-z]+")
-
-
-def _canonical_phrase(raw: str) -> str:
-    return _NON_ALNUM.sub(" ", raw.lower()).strip()
-
-
-def _fuzzy_lookup(vocab: dict[str, object], raw: str):
-    """Exact, else distance-1 match against a vocabulary; ambiguity yields None.
-
-    Ambiguous means two vocabulary entries with different target values both
-    sit within one edit of the input.
-    """
-    if raw in vocab:
-        return vocab[raw]
-    hits = {vocab[w] for w in vocab if within_one_edit(raw, w)}
-    if len(hits) == 1:
-        return hits.pop()
-    return None
-
-
-def normalize_value(dimension: Dimension, raw_text: str):
-    """Map a raw surface string to its canonical enum value, or None.
-
-    Stages accept roman I-IV and arabic 1-4; grades fold case; status,
-    extent, and subtype words tolerate a single-character typo. Unmatched
-    or ambiguous input normalizes to absent rather than guessing.
-    """
-    raw = raw_text.strip().lower()
-    if not raw:
-        return None
-    if dimension is Dimension.STAGE:
-        return ROMAN_STAGES.get(raw) or ARABIC_STAGES.get(raw)
-    if dimension is Dimension.GRADE:
-        return GRADE_LETTERS.get(raw)
-    if dimension is Dimension.STATUS:
-        return _fuzzy_lookup(STATUS_VOCAB, raw)
-    if dimension is Dimension.EXTENT:
-        return _fuzzy_lookup(EXTENT_VOCAB, raw)
-    if dimension is Dimension.SUBTYPE:
-        return _fuzzy_lookup(SUBTYPE_VOCAB, _canonical_phrase(raw))
-    raise ValueError(f"unknown dimension {dimension!r}")
 
 
 # Per status, whether it may carry a stage, grade, extent and subtype.

@@ -24,7 +24,7 @@ from .corpus import (
     record_from_obj,
     record_to_obj,
 )
-from .extraction import GRAMMAR_WORDS, detect_status_rulebased, diagnose
+from .extraction import GRAMMAR_WORDS, detect_status_rulebased, diagnose, within_one_edit
 from .model import (
     DIMENSIONS,
     FIELD_NAMES,
@@ -37,7 +37,7 @@ from .model import (
     Subtype,
     is_valid_record,
 )
-from .normalization import adjudicate, within_one_edit
+from .normalization import adjudicate
 
 
 class TemplateSelectionError(ValueError):
@@ -302,10 +302,6 @@ class _Atom:
     typo_ok: bool = False
 
 
-def _word(text: str, dim: Dimension | None = None, value=None, typo_ok=False) -> _Atom:
-    return _Atom(text, dim, value, typo_ok)
-
-
 def _diagnosis_atoms(
     record: DiagnosisRecord,
     anchor: str | None,
@@ -316,55 +312,55 @@ def _diagnosis_atoms(
     """Render one diagnosis sentence as atoms carrying span metadata."""
     atoms: list[_Atom] = []
     if anchor is not None:
-        atoms.append(_word(anchor))
-        atoms.append(_word(" "))
+        atoms.append(_Atom(anchor))
+        atoms.append(_Atom(" "))
 
     if informal_style == "extent_roman":
-        atoms.append(_word(record.extent.value, Dimension.EXTENT, record.extent, typo_ok=True))
-        atoms.append(_word(" "))
-        atoms.append(_word(record.stage.value, Dimension.STAGE, record.stage))
-        atoms.append(_word(" "))
-        atoms.append(_word(record.grade.value, Dimension.GRADE, record.grade))
+        atoms.append(_Atom(record.extent.value, Dimension.EXTENT, record.extent, typo_ok=True))
+        atoms.append(_Atom(" "))
+        atoms.append(_Atom(record.stage.value, Dimension.STAGE, record.stage))
+        atoms.append(_Atom(" "))
+        atoms.append(_Atom(record.grade.value, Dimension.GRADE, record.grade))
     elif informal_style == "stage_arabic":
         arabic = str(record.stage.rank + 1)
-        atoms.append(_word("Stage", typo_ok=True))
-        atoms.append(_word(" "))
-        atoms.append(_word(arabic, Dimension.STAGE, record.stage))
-        atoms.append(_word(" "))
-        atoms.append(_word(record.grade.value, Dimension.GRADE, record.grade))
+        atoms.append(_Atom("Stage", typo_ok=True))
+        atoms.append(_Atom(" "))
+        atoms.append(_Atom(arabic, Dimension.STAGE, record.stage))
+        atoms.append(_Atom(" "))
+        atoms.append(_Atom(record.grade.value, Dimension.GRADE, record.grade))
     else:
         if record.extent is not None:
-            atoms.append(_word(record.extent.value, Dimension.EXTENT, record.extent, typo_ok=True))
-            atoms.append(_word(" "))
+            atoms.append(_Atom(record.extent.value, Dimension.EXTENT, record.extent, typo_ok=True))
+            atoms.append(_Atom(" "))
         if record.status is PeriodontalStatus.HEALTH:
-            atoms.append(_word("Gingival"))
-            atoms.append(_word(" "))
-            atoms.append(_word("health", Dimension.STATUS, record.status, typo_ok=True))
+            atoms.append(_Atom("Gingival"))
+            atoms.append(_Atom(" "))
+            atoms.append(_Atom("health", Dimension.STATUS, record.status, typo_ok=True))
         else:
             atoms.append(
-                _word(record.status.value, Dimension.STATUS, record.status, typo_ok=True)
+                _Atom(record.status.value, Dimension.STATUS, record.status, typo_ok=True)
             )
         if record.stage is not None:
-            atoms.append(_word(" "))
-            atoms.append(_word("Stage", typo_ok=True))
-            atoms.append(_word(" "))
-            atoms.append(_word(record.stage.value, Dimension.STAGE, record.stage))
+            atoms.append(_Atom(" "))
+            atoms.append(_Atom("Stage", typo_ok=True))
+            atoms.append(_Atom(" "))
+            atoms.append(_Atom(record.stage.value, Dimension.STAGE, record.stage))
         if record.grade is not None:
-            atoms.append(_word(" "))
-            atoms.append(_word("Grade", typo_ok=True))
-            atoms.append(_word(" "))
-            atoms.append(_word(record.grade.value, Dimension.GRADE, record.grade))
+            atoms.append(_Atom(" "))
+            atoms.append(_Atom("Grade", typo_ok=True))
+            atoms.append(_Atom(" "))
+            atoms.append(_Atom(record.grade.value, Dimension.GRADE, record.grade))
         if record.subtype is not None:
             phrase = rng.choice(_SUBTYPE_PHRASES[record.subtype])
             article = "an" if phrase[0] in "aeiou" else "a"
-            atoms.append(_word(rng.choice(_SUBTYPE_CONNECTORS).format(article=article)))
-            atoms.append(_word(phrase, Dimension.SUBTYPE, record.subtype, typo_ok=True))
+            atoms.append(_Atom(rng.choice(_SUBTYPE_CONNECTORS).format(article=article)))
+            atoms.append(_Atom(phrase, Dimension.SUBTYPE, record.subtype, typo_ok=True))
     if distractor:
-        atoms.append(_word(" with "))
-        atoms.append(_word(rng.choice(("Generalized", "Localized"))))
-        atoms.append(_word(" "))
-        atoms.append(_word("Recession"))
-    atoms.append(_word("."))
+        atoms.append(_Atom(" with "))
+        atoms.append(_Atom(rng.choice(("Generalized", "Localized"))))
+        atoms.append(_Atom(" "))
+        atoms.append(_Atom("Recession"))
+    atoms.append(_Atom("."))
     return atoms
 
 

@@ -364,6 +364,19 @@ def test_split_non_finite_ratio_is_usage_error(tmp_path, template_file, capsys, 
     assert not manifest.exists()
 
 
+def test_split_overflowing_ratio_sum_is_usage_error(tmp_path, template_file, capsys):
+    # Each part is finite, but their sum is not.
+    synth_out = tmp_path / "synth.jsonl"
+    run("synth", "--offline", "--templates", template_file, "--seed", 7,
+        "--variants", 1, "--out", synth_out)
+    capsys.readouterr()
+    manifest = tmp_path / "m.json"
+    assert run("split", synth_out, manifest, "--ratios", "1e308:1e308:1", "--seed", 1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--ratios" in err
+    assert not manifest.exists()
+
+
 def test_split_byte_identical_reruns(tmp_path, template_file):
     synth_out = tmp_path / "synth.jsonl"
     run("synth", "--offline", "--templates", template_file, "--seed", 7,
@@ -508,3 +521,37 @@ def test_extract_rejects_bad_prediction_lines(tmp_path, capsys, lines, bad_line)
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
     assert f"{preds}:{bad_line}:" in err_lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("note_id", 5), ("site_id", 3), ("site_id", None), ("text", 5)]
+)
+def test_corpus_string_fields_must_be_json_strings(tmp_path, capsys, field, value):
+    good = tmp_path / "good.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "D: Stage II periodontitis"))], good)
+    corpus = tmp_path / "in.jsonl"
+    obj = {**json.loads(good.read_text(encoding="utf-8")), field: value}
+    corpus.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("extract", corpus, out) == 1
+    assert run("evaluate", good, corpus, tmp_path / "eval") == 1
+    message = f"error: {corpus}:1: malformed record: {field} must be str, got {value!r}"
+    assert capsys.readouterr().err.splitlines() == [message] * 2
+    assert not out.exists()
+
+
+def test_meta_and_prediction_note_ids_must_be_json_strings(tmp_path, capsys):
+    corpus = tmp_path / "in.jsonl"
+    write_corpus([AnnotatedNote(note=Note("5", "site1", "D: Stage II periodontitis"))], corpus)
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text(json.dumps({"note_id": 5, "age": 40, "natural_teeth_count": 28,
+                                "has_full_mouth_radiographs": True,
+                                "has_periodontal_charting": True}) + "\n", encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"note_id": 5, "spans": []}\n', encoding="utf-8")
+    assert run("cohort", corpus, meta, tmp_path / "cohort.jsonl") == 1
+    assert run("extract", corpus, tmp_path / "out.jsonl", "--extractor", f"predictions={preds}") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {meta}:1: malformed meta record: note_id must be str, got 5",
+        f"error: {preds}:1: malformed prediction record: note_id must be str, got 5",
+    ]

@@ -4,6 +4,15 @@ import random
 import pytest
 
 from oracles import legal_records, oracle_adjudicate
+from perioparse.demo import demo_seed_notes, demo_seed_templates
+from perioparse.extraction import (
+    EXTENT_VOCAB,
+    MODES,
+    STATUS_VOCAB,
+    diagnose,
+    normalize_value,
+    within_one_edit,
+)
 from perioparse.model import (
     DiagnosisRecord,
     Dimension,
@@ -21,10 +30,9 @@ from perioparse.normalization import (
     adjudicate,
     classify_guideline_version,
     infer_status_context,
-    normalize_value,
     statement_candidate,
-    within_one_edit,
 )
+from perioparse.synthesis import _SUBTYPE_PHRASES, PerturbationSpec, generate_offline
 
 P, G, H = (
     PeriodontalStatus.PERIODONTITIS,
@@ -127,6 +135,53 @@ def test_normalize_value_idempotent_on_canonical_forms():
     ):
         for value in values:
             assert normalize_value(dim, value.value) == value
+
+
+@pytest.mark.parametrize("vocab", [STATUS_VOCAB, EXTENT_VOCAB], ids=["status", "extent"])
+def test_vocabulary_words_of_different_value_are_three_edits_apart(vocab):
+    # So no token is within one edit of two values, and the first match is the only one.
+    for (a, va), (b, vb) in itertools.combinations(vocab.items(), 2):
+        if va is not vb:
+            assert naive_levenshtein(a, b) >= 3, (a, b)
+
+
+def test_every_subtype_phrase_normalizes_to_its_subtype():
+    for subtype, phrases in _SUBTYPE_PHRASES.items():
+        for phrase in (*phrases, subtype.value):
+            assert normalize_value(Dimension.SUBTYPE, phrase) is subtype, phrase
+
+
+@pytest.mark.parametrize(
+    "raw,expected",
+    [
+        ("Reduced periodontium with stable periodontitis",
+         Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS),
+        ("reduced periodontium on a non-periodontitis",
+         Subtype.REDUCED_PERIODONTIUM_NON_PERIODONTITIS),
+        ("reducd periodontiun, stabe periodontitis",  # one typo per word
+         Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS),
+        ("reduced periodontium, nom-periodontitis", None),  # "non" is matched exactly
+        ("intactperiodontium", None),  # an edit across a word boundary
+        ("intact periodontium.", None),  # the phrase must end on its last token
+        ("reduced periodontium", None),  # no qualifier, no value
+    ],
+)
+def test_normalize_subtype_follows_the_grammar(raw, expected):
+    assert normalize_value(Dimension.SUBTYPE, raw) == expected
+
+
+def test_every_emitted_and_gold_span_normalizes_to_its_value():
+    spec = PerturbationSpec(0.3, 0.3, 0.3, 0.3, 0.3, rng_seed=7)
+    notes = [*demo_seed_notes(), *generate_offline(demo_seed_templates(), 3, spec)]
+    checked = set()
+    for note in notes:
+        spans = [*note.spans]
+        for mode in MODES:
+            spans.extend(diagnose(note.note.text, mode)[0])
+        for span in spans:
+            assert normalize_value(span.dimension, span.raw_text) == span.value, span
+            checked.add(span.dimension)
+    assert checked == set(Dimension)
 
 
 # --------------------------------------------------------------------------
