@@ -214,6 +214,11 @@ def _field(obj: dict, name: str, kind: type):
     return value
 
 
+def _optional_field(obj: dict, name: str, kind: type):
+    """obj[name] as `_field` reads it, or None when the key is absent or null."""
+    return None if obj.get(name) is None else _field(obj, name, kind)
+
+
 def _meta_from_obj(obj: dict | None) -> PatientMeta | None:
     """Decode meta fields, which must be JSON integers and booleans as declared."""
     if obj is None:
@@ -248,15 +253,15 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
         text=text,
         provenance=Provenance(obj["provenance"]),
     )
-    gv = obj.get("guideline_version")
+    gv = _optional_field(obj, "guideline_version", str)
     return AnnotatedNote(
         note=note,
         spans=_spans_from_objs(obj.get("spans", []), text),
         record=record_from_obj(obj.get("record")),
         annotation_source=AnnotationSource(obj["annotation_source"]),
         meta=_meta_from_obj(obj.get("meta")),
-        guideline_version=GuidelineVersion(gv) if gv else None,
-        qa=obj.get("qa"),
+        guideline_version=None if gv is None else GuidelineVersion(gv),
+        qa=_optional_field(obj, "qa", dict),
     )
 
 

@@ -12,16 +12,19 @@ The grammar recognizes diagnosis statements (anchored by "D:", "Dx:",
 "Diagnosis:", "D-", or opening a sentence) and, inside them, status words,
 stage and grade markers, extent adjectives, and periodontium subtype
 phrases. Entity words of four or more letters tolerate a single-character
-typo. Extent adjectives attach to the nearest status-like head on their
-right; adjectives whose head is an unrelated noun (e.g. "Generalized
-Recession") yield no span.
+typo; each distinct token is matched against the vocabulary once. Extent
+adjectives attach to the nearest status-like head on their right;
+adjectives whose head is an unrelated noun (e.g. "Generalized Recession")
+yield no span.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 from .model import (
     DiagnosisRecord,
@@ -74,17 +77,10 @@ GRAMMAR_WORDS = (
 
 MODES = ("strict", "informal")
 
-_HEDGE_CUES = (
-    "to be confirmed",
-    "to confirm",
-    "possible",
-    "possibly",
-    "probable",
-    "likely",
-    "suspected",
-    "rule out",
-    "r/o",
-    "pending",
+# Hedge cues, matched as whole words: "unlikely" is not "likely".
+_HEDGE_RE = re.compile(
+    r"\b(?:to be confirmed|to confirm|possible|possibly|probable|likely|suspected"
+    r"|rule out|r/o|pending)\b"
 )
 
 # Adjectives an extent word may look past when searching for its head.
@@ -99,12 +95,12 @@ _STATUS_GUARDS = ("stable", "past", "non")
 
 _PERIO_CONTEXT = re.compile(r"periodont|gingiv", re.IGNORECASE)
 
+_WORD_RE = re.compile(r"[^\W_]+")  # exactly the tokens `_is_word` accepts
 _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
 _SENTENCE_RE = re.compile(r"[^.!?\n]+")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A tokenizer unit anchored at character offsets [start, end)."""
 
     text: str
@@ -155,13 +151,17 @@ def within_one_edit(a: str, b: str) -> bool:
     return a[i:] == b[i + 1 :]
 
 
+@lru_cache(maxsize=4096)
+def _words(token_lower: str) -> frozenset[str]:
+    """The token and, if it has four or more letters, each grammar word one edit from it."""
+    if len(token_lower) < 4:
+        return frozenset((token_lower,))
+    return frozenset([token_lower, *(w for w in GRAMMAR_WORDS if within_one_edit(token_lower, w))])
+
+
 def _match_word(token_lower: str, word: str) -> bool:
-    """Vocabulary match tolerating one edit for words of four or more letters."""
-    if token_lower == word:
-        return True
-    if len(word) < 4 or len(token_lower) < 4:
-        return False
-    return within_one_edit(token_lower, word)
+    """Vocabulary match tolerating one edit in a `GRAMMAR_WORDS` entry."""
+    return word in _words(token_lower)
 
 
 def _word_before(low: str, end: int) -> str:
@@ -428,11 +428,10 @@ def _find_anchor_regions(tokens: list[Token]) -> list[int]:
     ]
 
 
-def _initial_trigger(tokens: list[Token], sentence_text: str) -> bool:
-    """Does the sentence open with a diagnosis phrase?"""
-    content = [t for t in tokens if _is_word(t)][:2]
-    for tok in content:
-        low = tok.text.lower()
+def _initial_trigger(sentence_text: str) -> bool:
+    """Does the sentence open with a diagnosis phrase? Reads only its first two words."""
+    for m in islice(_WORD_RE.finditer(sentence_text), 2):
+        low = m.group().lower()
         if (
             _vocab_value(low, EXTENT_VOCAB, sentence_text) is not None
             or _vocab_value(low, STATUS_VOCAB, sentence_text) is not None
@@ -440,6 +439,11 @@ def _initial_trigger(tokens: list[Token], sentence_text: str) -> bool:
         ):
             return True
     return False
+
+
+def _may_hold_anchor(sentence_text: str) -> bool:
+    """An anchor needs a ":" or "-" token; only such sentences are tokenized to look for one."""
+    return ":" in sentence_text or "-" in sentence_text
 
 
 def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
@@ -450,20 +454,19 @@ def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     statements: list[Statement] = []
     for sent in _SENTENCE_RE.finditer(text):
         sentence_text = sent.group()
+        start, end = sent.span()
         # No token crosses a sentence boundary: the sentence terminators are
         # neither word characters nor part of a multi-character token.
-        tokens = tokenize(text, sent.start(), sent.end())
-        if not tokens:
-            continue
-        hedged = any(cue in sentence_text.lower() for cue in _HEDGE_CUES)
-        anchor_starts = _find_anchor_regions(tokens)
-        regions: list[list[Token]] = []
+        tokens = tokenize(text, start, end) if _may_hold_anchor(sentence_text) else None
+        anchor_starts = _find_anchor_regions(tokens) if tokens else []
         if anchor_starts:
             bounds = anchor_starts + [len(tokens) + 2]
-            for a, b in zip(bounds, bounds[1:]):
-                regions.append(tokens[a : max(a, b - 2)])
-        elif _initial_trigger(tokens, sentence_text):
-            regions.append(tokens)
+            regions = [tokens[a : max(a, b - 2)] for a, b in zip(bounds, bounds[1:])]
+        elif _initial_trigger(sentence_text):
+            regions = [tokens or tokenize(text, start, end)]
+        else:
+            continue
+        hedged = _HEDGE_RE.search(sentence_text.lower()) is not None
         for region in regions:
             statements.extend(
                 _build_statements(text, region, informal, hedged, sentence_text)

@@ -540,6 +540,32 @@ def test_corpus_string_fields_must_be_json_strings(tmp_path, capsys, field, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("guideline_version", 0, "guideline_version must be str, got 0"),
+        ("guideline_version", "", "'' is not a valid GuidelineVersion"),
+        ("guideline_version", False, "guideline_version must be str, got False"),
+        ("guideline_version", "2018", "'2018' is not a valid GuidelineVersion"),
+        ("qa", 5, "qa must be dict, got 5"),
+        ("qa", [1], "qa must be dict, got [1]"),
+    ],
+    ids=["version-zero", "version-empty", "version-false", "version-unknown", "qa-int", "qa-list"],
+)
+def test_corpus_optional_fields_are_checked(tmp_path, capsys, field, value, reason):
+    good = tmp_path / "good.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "D: Stage II periodontitis"))], good)
+    corpus = tmp_path / "in.jsonl"
+    obj = {**json.loads(good.read_text(encoding="utf-8")), field: value}
+    corpus.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("extract", corpus, out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {corpus}:1: malformed record: {reason}"
+    ]
+    assert not out.exists()
+
+
 def test_meta_and_prediction_note_ids_must_be_json_strings(tmp_path, capsys):
     corpus = tmp_path / "in.jsonl"
     write_corpus([AnnotatedNote(note=Note("5", "site1", "D: Stage II periodontitis"))], corpus)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+import string
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from perioparse.extraction import (
     extract_statements,
     reconstruct,
     tokenize,
+    within_one_edit,
 )
 from perioparse.model import (
     Dimension,
@@ -205,6 +208,21 @@ def test_unhedged_statement_not_flagged():
     assert statements[0].hedged is False
 
 
+@pytest.mark.parametrize(
+    "cue, hedged",
+    [
+        ("unlikely", False),
+        ("improbable", False),
+        ("likely", True),
+        ("probable", True),
+        ("R/O", True),
+    ],
+)
+def test_hedge_cues_match_whole_words(cue, hedged):
+    statements = extract_statements(f"D: Periodontitis {cue}, Stage II Grade A.")
+    assert [s.hedged for s in statements] == [hedged]
+
+
 def test_empty_and_unparseable_text():
     assert extract_entities("") == []
     assert extract_entities("Patient brushing well, no findings today.") == []
@@ -348,6 +366,73 @@ def test_grammar_words_are_the_words_matched_with_one_edit(monkeypatch):
             extract_statements(n.note.text, mode)
     assert {w for w in matched if len(w) >= 4} == set(GRAMMAR_WORDS)
     assert len(set(GRAMMAR_WORDS)) == len(GRAMMAR_WORDS)
+
+
+_QUERIED_WORDS = sorted({*GRAMMAR_WORDS, *extraction._ANCHORS, *extraction._STATUS_GUARDS})
+
+
+@st.composite
+def one_edit_typos(draw):
+    word = draw(st.sampled_from(_QUERIED_WORDS))
+    i = draw(st.integers(0, len(word)))
+    letter = draw(st.sampled_from(string.ascii_lowercase))
+    edit = draw(st.sampled_from(["delete", "insert", "substitute"]))
+    if edit == "insert" or i == len(word):
+        return word[:i] + letter + word[i:]
+    return word[:i] + ("" if edit == "delete" else letter) + word[i + 1 :]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    token=st.one_of(st.text(string.ascii_lowercase, max_size=14), one_edit_typos()),
+)
+def test_memoized_match_word_equals_uncached_definition(token):
+    for word in _QUERIED_WORDS:
+        uncached = token == word or (
+            len(token) >= 4 and len(word) >= 4 and within_one_edit(token, word)
+        )
+        assert extraction._match_word(token, word) == uncached, (token, word)
+
+
+_TEXT_PIECES = [
+    *GRAMMAR_WORDS,
+    "stabe", "periodontitus", "genralized", "stale", "Helthy", "REDUCED",
+    "D", "Dx", "Diagnosis", "dx", "D-", "Dx -", "D:", "III", "IV", "i", "2", "A", "B", "c",
+    "non", "with", "chronic", "unlikely", "r/o",
+    ":", "-", ".", "\n", "_", "_D", "é", "Gingivitisé", "ß", "٣", "Ⅲ",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(st.sampled_from(_TEXT_PIECES), st.sampled_from(["", " ", "  ", ", "])),
+        max_size=30,
+    ),
+    mode=st.sampled_from(MODES),
+)
+def test_skipping_anchorless_sentences_changes_no_statement(pieces, mode):
+    text = "".join(piece + sep for piece, sep in pieces)
+    word_tokens = [t.text for t in tokenize(text) if extraction._is_word(t)]
+    assert [m.group() for m in extraction._WORD_RE.finditer(text)] == word_tokens
+    statements = extract_statements(text, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extraction, "_may_hold_anchor", lambda sentence_text: True)
+        assert extract_statements(text, mode) == statements
+
+
+def test_word_memo_stays_bounded_on_many_distinct_words():
+    rng = random.Random(11)
+    words = {}
+    while len(words) < 50_000:
+        words["".join(rng.choices(string.ascii_lowercase, k=rng.randint(5, 10)))] = None
+    words = list(words)
+    text = ". ".join("D: " + " ".join(words[i : i + 10]) for i in range(0, len(words), 10))
+    start = time.monotonic()
+    extract_statements(text, "informal")
+    assert time.monotonic() - start < 2.0
+    info = extraction._words.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_invalid_mode_rejected():
