@@ -131,15 +131,15 @@ _SPAN_LABELS = {(dim.value, v.value): (dim, v) for dim, cls in VALUE_CLASSES.ite
 def span_from_obj(obj: dict, text: str) -> EntitySpan:
     """Decode one serialized span against its note text.
 
-    Offsets must lie inside the text; a ``raw_text`` field, when present,
-    must equal the slice it covers.
+    Offsets must be JSON integers inside the text; a ``raw_text`` field, when
+    present, must equal the slice it covers.
     """
     try:
         dimension, value = _SPAN_LABELS[obj["dimension"], obj.get("value")]
     except (KeyError, TypeError):  # unknown label: decode it for the exact error
         dimension = Dimension(obj["dimension"])
         value = VALUE_CLASSES[dimension](obj["value"])
-    start, end = int(obj["start"]), int(obj["end"])
+    start, end = _field(obj, "start", int), _field(obj, "end", int)
     if not 0 <= start < end <= len(text):
         raise ValueError(
             f"span [{start},{end}) out of bounds for note of length {len(text)}"
@@ -299,14 +299,23 @@ def write_corpus(notes, path) -> None:
 
 
 def _read_lines(path, decode, what: str, error=CorpusFormatError) -> dict:
-    """{note_id: decode(obj)} per JSON line; a bad line or a non-string or repeated id raises."""
+    """{note_id: decode(obj)} per JSON line; a bad line or a non-string or repeated id raises.
+
+    A line must be UTF-8, and its strings must be writable as UTF-8 again: a
+    lone surrogate escape such as "\\ud800" makes the line malformed.
+    """
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
+                # Only a \u escape decodes to a lone surrogate; one character
+                # is the fast test, most lines hold no backslash at all.
+                if "\\" in line and "\\u" in line:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
                 note_id = _field(obj, "note_id", str)
                 value = decode(obj)
             except (ValueError, KeyError, TypeError) as exc:
@@ -351,9 +360,6 @@ class SplitManifest:
     seed: int
     ratios: tuple[float, float, float]
     membership: dict[str, str]
-
-    def partition_ids(self, partition: str) -> list[str]:
-        return [nid for nid, part in self.membership.items() if part == partition]
 
     def sizes(self) -> tuple[int, int, int]:
         counts = {p: 0 for p in PARTITIONS}
@@ -418,9 +424,12 @@ def read_manifest(path) -> SplitManifest:
             bad = {p for p in membership.values()} - set(PARTITIONS)
             if bad:
                 raise ValueError(f"unknown partitions {sorted(bad)}")
+            ratios = _field(obj, "ratios", list)
+            if len(ratios) != len(PARTITIONS) or {type(r) for r in ratios} - {int, float}:
+                raise ValueError(f"ratios must be {len(PARTITIONS)} numbers, got {ratios!r}")
             return SplitManifest(
-                seed=int(obj["seed"]),
-                ratios=tuple(float(r) for r in obj["ratios"]),
+                seed=_field(obj, "seed", int),
+                ratios=tuple(map(float, ratios)),
                 membership=membership,
             )
         except (ValueError, KeyError, TypeError) as exc:

@@ -12,7 +12,8 @@ The grammar recognizes diagnosis statements (anchored by "D:", "Dx:",
 "Diagnosis:", "D-", or opening a sentence) and, inside them, status words,
 stage and grade markers, extent adjectives, and periodontium subtype
 phrases. Entity words of four or more letters tolerate a single-character
-typo; each distinct token is matched against the vocabulary once. Extent
+typo. What a word means is read from one lexicon record per distinct
+lowercase token (`_lex`), built once from the `_LEXICON` tables. Extent
 adjectives attach to the nearest status-like head on their right;
 adjectives whose head is an unrelated noun (e.g. "Generalized Recession")
 yield no span.
@@ -27,6 +28,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .model import (
+    FIELD_NAMES,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -40,9 +42,6 @@ from .model import (
 )
 from .normalization import adjudicate, infer_status_context
 
-# Words that, followed by ":" or "-", open a diagnosis region.
-_ANCHORS = ("d", "dx", "diagnosis")
-
 STATUS_VOCAB: dict[str, PeriodontalStatus] = {
     "periodontitis": PeriodontalStatus.PERIODONTITIS,
     "gingivitis": PeriodontalStatus.GINGIVITIS,
@@ -55,25 +54,36 @@ EXTENT_VOCAB: dict[str, Extent] = {
     "generalized": Extent.GENERALIZED,
 }
 
-ROMAN_STAGES: dict[str, Stage] = {"i": Stage.I, "ii": Stage.II, "iii": Stage.III, "iv": Stage.IV}
-ARABIC_STAGES: dict[str, Stage] = {"1": Stage.I, "2": Stage.II, "3": Stage.III, "4": Stage.IV}
-GRADE_LETTERS: dict[str, Grade] = {"a": Grade.A, "b": Grade.B, "c": Grade.C}
+_STABLE = Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS
 
-#: Every word the grammar matches with one edit allowed (see `_match_word`).
+# Words that name the subtype after "reduced periodontium"; before
+# "periodontitis" they make it part of that phrase or a negation, not a status.
+_QUALIFIERS = {
+    "stable": _STABLE,
+    "past": _STABLE,
+    "non": Subtype.REDUCED_PERIODONTIUM_NON_PERIODONTITIS,
+}
+
+#: Every word the grammar knows, under the `Lex` field it sets: a value, or
+#: True for a keyword. Words of four or more letters match with one edit.
+_LEXICON: dict[str, dict] = {
+    "status": STATUS_VOCAB,
+    "extent": EXTENT_VOCAB,
+    "stage": {**dict(zip(("i", "ii", "iii", "iv"), Stage)), **dict(zip("1234", Stage))},
+    "grade": dict(zip("abc", Grade)),
+    "qualifier": _QUALIFIERS,
+    "stage_marker": {"stage": True},
+    "grade_marker": {"grade": True},
+    "intact": {"intact": True},
+    "reduced": {"reduced": True},
+    "periodontium": {"periodontium": True},
+    "anchor": dict.fromkeys(("d", "dx", "diagnosis"), True),  # when ":" or "-" follows
+}
+
+#: Every word the grammar matches with one edit allowed (see `_lex`).
 #: The offline typo injector rejects a typo within one edit of any of them
 #: but its source word, so a typo always resolves back to that word.
-GRAMMAR_WORDS = (
-    *STATUS_VOCAB,
-    *EXTENT_VOCAB,
-    "stage",
-    "grade",
-    "intact",
-    "reduced",
-    "periodontium",
-    "stable",
-    "past",
-    "diagnosis",
-)
+GRAMMAR_WORDS = tuple(w for words in _LEXICON.values() for w in words if len(w) >= 4)
 
 MODES = ("strict", "informal")
 
@@ -88,10 +98,6 @@ _HEAD_SKIP_WORDS = {"chronic", "mild", "moderate", "severe", "advanced", "early"
 
 # Connectors allowed between "reduced periodontium" and its qualifier.
 _QUALIFIER_SKIP = {",", ";", "-", "/", "with", "due", "to", "on", "a", "an", "of", "from"}
-
-# Words that mark a preceding-context "periodontitis" as part of a subtype
-# phrase or a negation, not a status mention.
-_STATUS_GUARDS = ("stable", "past", "non")
 
 _PERIO_CONTEXT = re.compile(r"periodont|gingiv", re.IGNORECASE)
 
@@ -151,17 +157,42 @@ def within_one_edit(a: str, b: str) -> bool:
     return a[i:] == b[i + 1 :]
 
 
+class Lex(NamedTuple):
+    """What the grammar reads in one lowercase token: a field per `_LEXICON` table, and `opens`."""
+
+    status: PeriodontalStatus | None = None  # a health word also needs context: `_status`
+    extent: Extent | None = None
+    stage: Stage | None = None
+    grade: Grade | None = None
+    qualifier: Subtype | None = None
+    stage_marker: bool = False
+    grade_marker: bool = False
+    intact: bool = False
+    reduced: bool = False
+    periodontium: bool = False
+    anchor: bool = False
+    opens: bool = False  # opens a diagnosis sentence, whatever else the sentence holds
+
+
 @lru_cache(maxsize=4096)
-def _words(token_lower: str) -> frozenset[str]:
-    """The token and, if it has four or more letters, each grammar word one edit from it."""
-    if len(token_lower) < 4:
-        return frozenset((token_lower,))
-    return frozenset([token_lower, *(w for w in GRAMMAR_WORDS if within_one_edit(token_lower, w))])
+def _lex(low: str) -> Lex:
+    """The record of a lowercase token: what each `_LEXICON` word it matches means.
+
+    A word matches itself and, if both have four or more letters, a token one
+    edit away. Words of different value are three or more edits apart, so each
+    field takes at most one value.
+    """
+    words = [w for w in GRAMMAR_WORDS if within_one_edit(low, w)] if len(low) >= 4 else [low]
+    lex = Lex(**{f: table[w] for f, table in _LEXICON.items() for w in words if w in table})
+    opens = lex.extent is not None or lex.stage_marker or lex.intact or lex.reduced
+    return lex._replace(opens=opens or lex.status not in (None, PeriodontalStatus.HEALTH))
 
 
-def _match_word(token_lower: str, word: str) -> bool:
-    """Vocabulary match tolerating one edit in a `GRAMMAR_WORDS` entry."""
-    return word in _words(token_lower)
+def _status(lex: Lex, sentence_text: str) -> PeriodontalStatus | None:
+    """The token's status; a health word counts only with periodontal context in its sentence."""
+    if lex.status is PeriodontalStatus.HEALTH and not _PERIO_CONTEXT.search(sentence_text):
+        return None
+    return lex.status
 
 
 def _word_before(low: str, end: int) -> str:
@@ -191,7 +222,7 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     for line in text.splitlines():
         low = line.lower()
         for m in re.finditer(r"periodontitis", low):
-            if _word_before(low, m.start()) in _STATUS_GUARDS:
+            if _word_before(low, m.start()) in _QUALIFIERS:
                 continue
             found = join(found, PeriodontalStatus.PERIODONTITIS)
             break
@@ -227,48 +258,27 @@ def _match_subtype(tokens: list[Token], i: int):
     A bare "reduced periodontium" without a qualifier consumes its tokens but
     carries no determinable value.
     """
-    low = tokens[i].text.lower()
-    if _match_word(low, "intact"):
-        j = _next_content(tokens, i)
-        if j is not None and _match_word(tokens[j].text.lower(), "periodontium"):
-            return Subtype.INTACT_PERIODONTIUM, j
-        return None
-    if not _match_word(low, "reduced"):
+    lex = _lex(tokens[i].text.lower())
+    if not (lex.intact or lex.reduced):
         return None
     j = _next_content(tokens, i)
-    if j is None or not _match_word(tokens[j].text.lower(), "periodontium"):
+    if j is None or not _lex(tokens[j].text.lower()).periodontium:
         return None
+    if lex.intact:
+        return Subtype.INTACT_PERIODONTIUM, j
     # qualifier scan
     k = j + 1
     while k < len(tokens) and tokens[k].text.lower() in _QUALIFIER_SKIP:
         k += 1
-    if k < len(tokens):
-        klow = tokens[k].text.lower()
-        if _match_word(klow, "stable") or _match_word(klow, "past"):
-            m = _next_content(tokens, k)
-            if m is not None and tokens[m].text.lower() in ("stable", "past"):
-                m = _next_content(tokens, m)
-            if m is not None and _match_word(tokens[m].text.lower(), "periodontitis"):
-                return Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS, m
-        elif klow == "non":
-            m = _next_content(tokens, k)
-            if m is not None and _match_word(tokens[m].text.lower(), "periodontitis"):
-                return Subtype.REDUCED_PERIODONTIUM_NON_PERIODONTITIS, m
+    qualifier = _lex(tokens[k].text.lower()).qualifier if k < len(tokens) else None
+    if qualifier is not None:
+        m = _next_content(tokens, k)
+        if qualifier is _STABLE and m is not None and tokens[m].text.lower() in ("stable", "past"):
+            m = _next_content(tokens, m)
+        status = None if m is None else _lex(tokens[m].text.lower()).status
+        if status is PeriodontalStatus.PERIODONTITIS:
+            return qualifier, m
     return None, j  # bare "reduced periodontium": consume, no value
-
-
-def _vocab_value(low: str, vocab: dict, sentence_text: str | None = None):
-    """The value of the `vocab` word `low` matches, or None.
-
-    Words of different value are three or more edits apart, so at most one
-    value matches. Health words need periodontal context in `sentence_text`, if given.
-    """
-    for word, value in vocab.items():
-        if _match_word(low, word):
-            if value is PeriodontalStatus.HEALTH and sentence_text is not None:
-                return value if _PERIO_CONTEXT.search(sentence_text) else None
-            return value
-    return None
 
 
 def normalize_value(dimension: Dimension, raw_text: str):
@@ -282,19 +292,13 @@ def normalize_value(dimension: Dimension, raw_text: str):
     raw = raw_text.strip().lower()
     if not raw:
         return None
-    if dimension is Dimension.STAGE:
-        return ROMAN_STAGES.get(raw) or ARABIC_STAGES.get(raw)
-    if dimension is Dimension.GRADE:
-        return GRADE_LETTERS.get(raw)
-    if dimension is Dimension.STATUS:
-        return _vocab_value(raw, STATUS_VOCAB)
-    if dimension is Dimension.EXTENT:
-        return _vocab_value(raw, EXTENT_VOCAB)
     if dimension is Dimension.SUBTYPE:
         tokens = tokenize(raw)
         value, last = _match_subtype(tokens, 0) or (None, -1)
         return value if last == len(tokens) - 1 else None
-    raise ValueError(f"unknown dimension {dimension!r}")
+    if not isinstance(dimension, Dimension):
+        raise ValueError(f"unknown dimension {dimension!r}")
+    return getattr(_lex(raw), FIELD_NAMES[dimension])
 
 
 def _token_span(dimension: Dimension, value, tok: Token) -> EntitySpan:
@@ -316,7 +320,7 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
         if not _is_word(tok):
             i += 1
             continue
-        low = tok.text.lower()
+        lex = _lex(tok.text.lower())
 
         sub = _match_subtype(tokens, i)
         if sub is not None:
@@ -328,56 +332,46 @@ def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text
             i = last + 1
             continue
 
-        status = _vocab_value(low, STATUS_VOCAB, sentence_text)
+        status = _status(lex, sentence_text)
         if status is PeriodontalStatus.PERIODONTITIS:
             prev = _prev_content(tokens, i)
-            if prev is not None and any(
-                _match_word(tokens[prev].text.lower(), g) for g in _STATUS_GUARDS
-            ):
+            if prev is not None and _lex(tokens[prev].text.lower()).qualifier is not None:
                 status = None
         if status is not None:
             elements.append((_token_span(Dimension.STATUS, status, tok), i, i))
             i += 1
             continue
 
-        if _match_word(low, "stage"):
+        if lex.stage_marker or lex.grade_marker:
             j = _next_content(tokens, i)
-            if j is not None:
-                jlow = tokens[j].text.lower()
-                stage = ROMAN_STAGES.get(jlow) or ARABIC_STAGES.get(jlow)
-                if stage is not None:
-                    elements.append((_token_span(Dimension.STAGE, stage, tokens[j]), i, j))
-                    stage_value_tokens.add(j)
-                    i = j + 1
-                    continue
-
-        if _match_word(low, "grade"):
-            j = _next_content(tokens, i)
-            if j is not None and len(tokens[j].text) == 1:
-                grade = GRADE_LETTERS.get(tokens[j].text.lower())
-                if grade is not None:
-                    elements.append((_token_span(Dimension.GRADE, grade, tokens[j]), i, j))
-                    i = j + 1
-                    continue
+            value = Lex() if j is None else _lex(tokens[j].text.lower())
+            if lex.stage_marker and value.stage is not None:
+                elements.append((_token_span(Dimension.STAGE, value.stage, tokens[j]), i, j))
+                stage_value_tokens.add(j)
+                i = j + 1
+                continue
+            if lex.grade_marker and value.grade is not None:
+                elements.append((_token_span(Dimension.GRADE, value.grade, tokens[j]), i, j))
+                i = j + 1
+                continue
 
         if informal:
-            # Bare roman numeral directly followed by a bare grade letter.
-            if low in ROMAN_STAGES and tok.text.isupper():
+            # Bare roman numeral (digits are never upper case) followed by a bare grade letter.
+            if lex.stage is not None and tok.text.isupper():
                 j = _next_content(tokens, i)
                 if j is not None and tokens[j].text in ("A", "B", "C"):
-                    elements.append((_token_span(Dimension.STAGE, ROMAN_STAGES[low], tok), i, i))
+                    elements.append((_token_span(Dimension.STAGE, lex.stage, tok), i, i))
                     stage_value_tokens.add(i)
                     i += 1
                     continue
             # Bare grade letter trailing a stage value token.
             if tok.text in ("A", "B", "C") and _prev_content(tokens, i) in stage_value_tokens:
-                elements.append((_token_span(Dimension.GRADE, GRADE_LETTERS[low], tok), i, i))
+                elements.append((_token_span(Dimension.GRADE, lex.grade, tok), i, i))
                 i += 1
                 continue
 
-        extent = _vocab_value(low, EXTENT_VOCAB, sentence_text)
-        if extent is not None:
-            extents.append((_token_span(Dimension.EXTENT, extent, tok), i))
+        if lex.extent is not None:
+            extents.append((_token_span(Dimension.EXTENT, lex.extent, tok), i))
         i += 1
     return elements, extents
 
@@ -423,20 +417,15 @@ def _find_anchor_regions(tokens: list[Token]) -> list[int]:
     return [
         i + 2
         for i in range(len(tokens) - 1)
-        if tokens[i + 1].text in (":", "-")
-        and any(_match_word(tokens[i].text.lower(), a) for a in _ANCHORS)
+        if tokens[i + 1].text in (":", "-") and _lex(tokens[i].text.lower()).anchor
     ]
 
 
 def _initial_trigger(sentence_text: str) -> bool:
     """Does the sentence open with a diagnosis phrase? Reads only its first two words."""
     for m in islice(_WORD_RE.finditer(sentence_text), 2):
-        low = m.group().lower()
-        if (
-            _vocab_value(low, EXTENT_VOCAB, sentence_text) is not None
-            or _vocab_value(low, STATUS_VOCAB, sentence_text) is not None
-            or any(_match_word(low, word) for word in ("stage", "intact", "reduced"))
-        ):
+        lex = _lex(m.group().lower())
+        if lex.opens or _status(lex, sentence_text) is not None:
             return True
     return False
 

@@ -566,6 +566,65 @@ def test_corpus_optional_fields_are_checked(tmp_path, capsys, field, value, reas
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value", [("start", 9.7), ("start", "9"), ("start", True), ("end", 11.0)]
+)
+def test_span_offsets_must_be_json_integers(tmp_path, capsys, field, value):
+    good = tmp_path / "good.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "D: Stage II periodontitis"))], good)
+    span = {"dimension": "Stage", "value": "II", "start": 9, "end": 11, field: value}
+    corpus = tmp_path / "in.jsonl"
+    corpus.write_text(
+        json.dumps({**json.loads(good.read_text(encoding="utf-8")), "spans": [span]}) + "\n",
+        encoding="utf-8",
+    )
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"note_id": "n-1", "spans": [span]}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("extract", corpus, out) == 1
+    assert run("extract", good, out, "--extractor", f"predictions={preds}") == 1
+    reason = f"{field} must be int, got {value!r}"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {corpus}:1: malformed record: {reason}",
+        f"error: {preds}:1: malformed prediction record: note 'n-1': {reason}",
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["corpus", "meta", "predictions"])
+@pytest.mark.parametrize(
+    "bad_id, reason",
+    [
+        (b'"n-\\ud800"', "'utf-8' codec can't encode character '\\ud800' in position"),
+        (b'"n-\xff"', "'utf-8' codec can't decode byte 0xff in position"),
+    ],
+    ids=["lone-surrogate", "invalid-utf8"],
+)
+def test_lines_must_be_utf8_without_lone_surrogates(tmp_path, capsys, kind, bad_id, reason):
+    corpus = tmp_path / "in.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "D: Stage II periodontitis"))], corpus)
+    first = {
+        "corpus": corpus.read_bytes().strip(),
+        "meta": json.dumps({"note_id": "n-1", "age": 40, "natural_teeth_count": 28,
+                            "has_full_mouth_radiographs": True,
+                            "has_periodontal_charting": True}).encode(),
+        "predictions": b'{"note_id": "n-1", "spans": []}',
+    }[kind]
+    path = tmp_path / f"bad-{kind}.jsonl"
+    path.write_bytes(first + b"\n" + first.replace(b'"n-1"', bad_id) + b"\n")
+    out = tmp_path / "out.jsonl"
+    argv, what = {
+        "corpus": (["extract", path, out], "record"),
+        "meta": (["cohort", corpus, path, out], "meta record"),
+        "predictions": (["extract", corpus, out, "--extractor", f"predictions={path}"],
+                        "prediction record"),
+    }[kind]
+    assert run(*argv) == 1
+    [message] = capsys.readouterr().err.splitlines()
+    assert message.startswith(f"error: {path}:2: malformed {what}: {reason}")
+    assert not out.exists()
+
+
 def test_meta_and_prediction_note_ids_must_be_json_strings(tmp_path, capsys):
     corpus = tmp_path / "in.jsonl"
     write_corpus([AnnotatedNote(note=Note("5", "site1", "D: Stage II periodontitis"))], corpus)

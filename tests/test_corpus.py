@@ -279,3 +279,33 @@ def test_manifest_round_trip_and_byte_identical(tmp_path):
     write_manifest(split_corpus(notes, seed=11), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert read_manifest(p1) == manifest
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("seed", 7.9, "seed must be int, got 7.9"),
+        ("seed", "7", "seed must be int, got '7'"),
+        ("seed", True, "seed must be int, got True"),
+        ("ratios", ["0.5", True], "ratios must be 3 numbers, got ['0.5', True]"),
+        ("ratios", [0.8, 0.2], "ratios must be 3 numbers, got [0.8, 0.2]"),
+        ("ratios", [0.8, 0.1, "0.1"], "ratios must be 3 numbers, got [0.8, 0.1, '0.1']"),
+        ("ratios", [0.8, 0.1, False], "ratios must be 3 numbers, got [0.8, 0.1, False]"),
+        ("ratios", "0.8", "ratios must be list, got '0.8'"),
+    ],
+)
+def test_manifest_numbers_are_checked(tmp_path, field, value, reason):
+    path = tmp_path / "m.json"
+    write_manifest(split_corpus([make_note(f"n-{i}") for i in range(5)], seed=3), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    with pytest.raises(CorpusFormatError) as info:
+        read_manifest(path)
+    assert str(info.value) == f"{path}: malformed manifest: {reason}"
+
+
+def test_escaped_surrogate_pair_is_read(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_corpus([make_note("n-1", "Smile \U0001f600.")], path)
+    text = path.read_text(encoding="utf-8").replace("\U0001f600", "\\ud83d\\ude00")
+    path.write_text(text, encoding="utf-8")
+    assert read_corpus(path)[0].note.text == "Smile \U0001f600."

@@ -14,8 +14,10 @@ from perioparse.corpus import AnnotatedNote, Note, PredictionFileError, load_ext
 from perioparse.demo import demo_seed_templates
 from perioparse.extraction import (
     _SENTENCE_RE,
+    EXTENT_VOCAB,
     GRAMMAR_WORDS,
     MODES,
+    STATUS_VOCAB,
     detect_status_rulebased,
     diagnose,
     extract_entities,
@@ -33,7 +35,7 @@ from perioparse.model import (
     Subtype,
     span_violations,
 )
-from perioparse.synthesis import PERTURBATION_RATES, PerturbationSpec, generate_offline
+from perioparse.synthesis import PerturbationSpec, generate_offline
 
 P, G, H = (
     PeriodontalStatus.PERIODONTITIS,
@@ -348,50 +350,86 @@ def test_hostile_long_inputs_stay_linear():
         assert (result if expected is None else len(result)) == expected
 
 
-def test_grammar_words_are_the_words_matched_with_one_edit(monkeypatch):
+def _one_edit_typos(word):
+    """Every string one deletion, or one a-z substitution or insertion, away from word."""
+    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
+    return {
+        *(a + b[1:] for a, b in splits if b),
+        *(a + c + b[1:] for a, b in splits if b for c in string.ascii_lowercase),
+        *(a + c + b for a, b in splits for c in string.ascii_lowercase),
+    } - {word}
+
+
+def test_grammar_words_are_the_words_matched_with_one_edit():
     # The offline typo injector relies on GRAMMAR_WORDS naming every word the
-    # grammar matches fuzzily (words under four letters match exactly).
-    spec = PerturbationSpec(**dict.fromkeys(PERTURBATION_RATES, 0.3), rng_seed=5)
-    notes = generate_offline(demo_seed_templates(15), 3, spec)
-    matched = set()
-    match_word = extraction._match_word
-
-    def recording(token_lower, word):
-        matched.add(word)
-        return match_word(token_lower, word)
-
-    monkeypatch.setattr(extraction, "_match_word", recording)
-    for n in notes:
-        for mode in MODES:
-            extract_statements(n.note.text, mode)
-    assert {w for w in matched if len(w) >= 4} == set(GRAMMAR_WORDS)
+    # grammar matches fuzzily (words under four letters match exactly). A word
+    # the grammar knows is matched with one edit when some typo of it, itself
+    # no known word, reads exactly as the word does.
+    known = {word for table in extraction._LEXICON.values() for word in table}
+    lex = extraction._lex.__wrapped__  # the uncached reading, whatever ran before
+    matched = {
+        word
+        for word in known
+        if any(lex(typo) == lex(word) for typo in _one_edit_typos(word) - known)
+    }
+    assert matched == set(GRAMMAR_WORDS)
     assert len(set(GRAMMAR_WORDS)) == len(GRAMMAR_WORDS)
 
 
-_QUERIED_WORDS = sorted({*GRAMMAR_WORDS, *extraction._ANCHORS, *extraction._STATUS_GUARDS})
+_STAGE_NUMERALS = {
+    "i": Stage.I, "ii": Stage.II, "iii": Stage.III, "iv": Stage.IV,
+    "1": Stage.I, "2": Stage.II, "3": Stage.III, "4": Stage.IV,
+}
+_GRADE_LETTERS = {"a": Grade.A, "b": Grade.B, "c": Grade.C}
+_QUERIED_WORDS = sorted(
+    {*STATUS_VOCAB, *EXTENT_VOCAB, *_STAGE_NUMERALS, *_GRADE_LETTERS, "stage", "grade",
+     "intact", "reduced", "periodontium", "stable", "past", "non", "d", "dx", "diagnosis"}
+)
 
 
-@st.composite
-def one_edit_typos(draw):
-    word = draw(st.sampled_from(_QUERIED_WORDS))
-    i = draw(st.integers(0, len(word)))
-    letter = draw(st.sampled_from(string.ascii_lowercase))
-    edit = draw(st.sampled_from(["delete", "insert", "substitute"]))
-    if edit == "insert" or i == len(word):
-        return word[:i] + letter + word[i:]
-    return word[:i] + ("" if edit == "delete" else letter) + word[i + 1 :]
+def uncached_lex(token):
+    """What the grammar reads in a lowercase token, asked one word at a time."""
+
+    def match(word):
+        return token == word or (
+            len(token) >= 4 and len(word) >= 4 and within_one_edit(token, word)
+        )
+
+    status = next((value for word, value in STATUS_VOCAB.items() if match(word)), None)
+    extent = next((value for word, value in EXTENT_VOCAB.items() if match(word)), None)
+    if match("stable") or match("past"):
+        qualifier = Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS
+    else:
+        qualifier = Subtype.REDUCED_PERIODONTIUM_NON_PERIODONTITIS if token == "non" else None
+    return {
+        "status": status,
+        "extent": extent,
+        "stage": _STAGE_NUMERALS.get(token),
+        "grade": _GRADE_LETTERS.get(token),
+        "qualifier": qualifier,
+        "stage_marker": match("stage"),
+        "grade_marker": match("grade"),
+        "intact": match("intact"),
+        "reduced": match("reduced"),
+        "periodontium": match("periodontium"),
+        "anchor": token in ("d", "dx") or match("diagnosis"),
+        "opens": extent is not None or status in (P, G)
+        or match("stage") or match("intact") or match("reduced"),
+    }
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    token=st.one_of(st.text(string.ascii_lowercase, max_size=14), one_edit_typos()),
+    token=st.one_of(
+        st.text(string.ascii_lowercase + "1234", max_size=14),
+        st.sampled_from(_QUERIED_WORDS),
+        st.sampled_from(_QUERIED_WORDS).flatmap(
+            lambda word: st.sampled_from(sorted(_one_edit_typos(word)))
+        ),
+    ),
 )
-def test_memoized_match_word_equals_uncached_definition(token):
-    for word in _QUERIED_WORDS:
-        uncached = token == word or (
-            len(token) >= 4 and len(word) >= 4 and within_one_edit(token, word)
-        )
-        assert extraction._match_word(token, word) == uncached, (token, word)
+def test_memoized_lex_equals_uncached_definition(token):
+    assert extraction._lex(token)._asdict() == uncached_lex(token), token
 
 
 _TEXT_PIECES = [
@@ -431,7 +469,7 @@ def test_word_memo_stays_bounded_on_many_distinct_words():
     start = time.monotonic()
     extract_statements(text, "informal")
     assert time.monotonic() - start < 2.0
-    info = extraction._words.cache_info()
+    info = extraction._lex.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
