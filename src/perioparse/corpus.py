@@ -7,7 +7,6 @@ diff cleanly. Note text survives read/write round trips byte-exactly.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 import os
@@ -20,7 +19,7 @@ from pathlib import Path
 from .model import (
     DIMENSIONS,
     FIELD_NAMES,
-    LEGAL_DIMENSIONS,
+    LEGAL_RECORDS,
     VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
@@ -129,10 +128,10 @@ _SPAN_LABELS = {(dim.value, v.value): (dim, v) for dim, cls in VALUE_CLASSES.ite
 
 
 def span_from_obj(obj: dict, text: str) -> EntitySpan:
-    """Decode one serialized span against its note text.
+    """Decode one serialized span's label and integer offsets.
 
-    Offsets must be JSON integers inside the text; a ``raw_text`` field, when
-    present, must equal the slice it covers.
+    ``raw_text`` is the declared one, or the slice of ``text`` the offsets
+    cover; `span_violations` checks it against the note.
     """
     try:
         dimension, value = _SPAN_LABELS[obj["dimension"], obj.get("value")]
@@ -140,17 +139,8 @@ def span_from_obj(obj: dict, text: str) -> EntitySpan:
         dimension = Dimension(obj["dimension"])
         value = VALUE_CLASSES[dimension](obj["value"])
     start, end = _field(obj, "start", int), _field(obj, "end", int)
-    if not 0 <= start < end <= len(text):
-        raise ValueError(
-            f"span [{start},{end}) out of bounds for note of length {len(text)}"
-        )
-    raw = text[start:end]
-    declared = obj.get("raw_text")
-    if declared is not None and declared != raw:
-        raise ValueError(
-            f"span [{start},{end}) raw_text {declared!r} does not match note text {raw!r}"
-        )
-    return EntitySpan(dimension, value, start, end, raw)
+    raw = obj.get("raw_text")
+    return EntitySpan(dimension, value, start, end, text[start:end] if raw is None else raw)
 
 
 def _spans_from_objs(objs, text: str) -> tuple[EntitySpan, ...]:
@@ -176,16 +166,8 @@ def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
 _OPTIONAL_FIELDS = tuple((FIELD_NAMES[dim], VALUE_CLASSES[dim]) for dim in DIMENSIONS[1:])
 
 
-def _legal_records():
-    """Every record LEGAL_DIMENSIONS allows: each field a status may fill, absent or set."""
-    for status, legal in LEGAL_DIMENSIONS.items():
-        choices = [(None, *VALUE_CLASSES[d]) if d in legal else (None,) for d in DIMENSIONS[1:]]
-        for optional in itertools.product(*choices):
-            yield DiagnosisRecord(status, *optional)
-
-
 #: Each of the 76 legal records, keyed by its serialized field values in field order.
-_LEGAL_RECORDS = {tuple(record_to_obj(record).values()): record for record in _legal_records()}
+_LEGAL_RECORDS = {tuple(record_to_obj(record).values()): record for record in LEGAL_RECORDS}
 
 
 def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
@@ -368,18 +350,23 @@ class SplitManifest:
         return counts["train"], counts["validation"], counts["test"]
 
 
-def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
-    """Deterministic seeded split into train/validation/test.
-
-    Partition sizes are floor(ratio * N); leftover rows go to train so the
-    evaluation partitions stay at exactly their nominal fraction.
-    """
+def _check_ratios(ratios) -> None:
+    """Three positive partition ratios that sum to 1, or ValueError."""
     if len(ratios) != len(PARTITIONS):
         raise ValueError(f"expected {len(PARTITIONS)} ratios, got {len(ratios)}")
     if any(r <= 0 for r in ratios):
         raise ValueError(f"ratios must all be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
+
+
+def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
+    """Deterministic seeded split into train/validation/test.
+
+    Partition sizes are floor(ratio * N); leftover rows go to train so the
+    evaluation partitions stay at exactly their nominal fraction.
+    """
+    _check_ratios(ratios)
     ids = [getattr(n, "note", n).note_id for n in notes]
     if len(ids) < len(PARTITIONS):
         raise ValueError(
@@ -420,13 +407,14 @@ def read_manifest(path) -> SplitManifest:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-            membership = dict(obj["membership"])
+            membership = _field(obj, "membership", dict)
             bad = {p for p in membership.values()} - set(PARTITIONS)
             if bad:
                 raise ValueError(f"unknown partitions {sorted(bad)}")
             ratios = _field(obj, "ratios", list)
             if len(ratios) != len(PARTITIONS) or {type(r) for r in ratios} - {int, float}:
                 raise ValueError(f"ratios must be {len(PARTITIONS)} numbers, got {ratios!r}")
+            _check_ratios(ratios)
             return SplitManifest(
                 seed=_field(obj, "seed", int),
                 ratios=tuple(map(float, ratios)),

@@ -8,9 +8,12 @@ safe to share across threads.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 
+@functools.total_ordering
 class _OrderedEnum(enum.Enum):
     """Enum whose members are totally ordered by definition order (ascending)."""
 
@@ -22,21 +25,6 @@ class _OrderedEnum(enum.Enum):
     def __lt__(self, other):
         if type(self) is type(other):
             return self.rank < other.rank
-        return NotImplemented
-
-    def __le__(self, other):
-        if type(self) is type(other):
-            return self.rank <= other.rank
-        return NotImplemented
-
-    def __gt__(self, other):
-        if type(self) is type(other):
-            return self.rank > other.rank
-        return NotImplemented
-
-    def __ge__(self, other):
-        if type(self) is type(other):
-            return self.rank >= other.rank
         return NotImplemented
 
 
@@ -90,13 +78,8 @@ class Dimension(enum.Enum):
     SUBTYPE = "Subtype"
 
 
-DIMENSIONS = (
-    Dimension.STATUS,
-    Dimension.STAGE,
-    Dimension.GRADE,
-    Dimension.EXTENT,
-    Dimension.SUBTYPE,
-)
+#: The dimensions in record field order, which is their definition order.
+DIMENSIONS = tuple(Dimension)
 
 #: Value enum of each dimension.
 VALUE_CLASSES = {
@@ -148,7 +131,7 @@ def join(a, b):
         return b
     if b is None:
         return a
-    return a if a >= b else b
+    return b if a < b else a
 
 
 @dataclass(frozen=True)
@@ -185,6 +168,38 @@ def is_valid_record(record: DiagnosisRecord) -> bool:
     return not validate_record(record)
 
 
+# Per status, whether it may fill stage, grade, extent and subtype.
+_OPTIONAL_LEGAL = {
+    status: tuple(dim in legal for dim in DIMENSIONS[1:])
+    for status, legal in LEGAL_DIMENSIONS.items()
+}
+
+
+def legalized(
+    status: PeriodontalStatus, stage: Stage | None, grade: Grade | None,
+    extent: Extent | None, subtype: Subtype | None,
+) -> DiagnosisRecord:
+    """Build a record, dropping fields the status cannot carry."""
+    stage_ok, grade_ok, extent_ok, subtype_ok = _OPTIONAL_LEGAL[status]
+    return DiagnosisRecord(
+        status,
+        stage if stage_ok else None,
+        grade if grade_ok else None,
+        extent if extent_ok else None,
+        subtype if subtype_ok else None,
+    )
+
+
+#: The 76 records LEGAL_DIMENSIONS allows: each field a status may fill, absent or set.
+LEGAL_RECORDS = tuple(
+    DiagnosisRecord(status, *optional)
+    for status, legal in LEGAL_DIMENSIONS.items()
+    for optional in itertools.product(
+        *((None, *VALUE_CLASSES[dim]) if dim in legal else (None,) for dim in DIMENSIONS[1:])
+    )
+)
+
+
 @dataclass(frozen=True)
 class EntitySpan:
     """A labeled character-offset span over note text, half-open [start, end).
@@ -201,19 +216,21 @@ class EntitySpan:
 
     def __post_init__(self):
         if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad span offsets [{self.start}, {self.end})")
+            raise ValueError(f"bad span offsets [{self.start},{self.end})")
 
 
 def span_violations(text: str, spans: list[EntitySpan]) -> list[str]:
-    """Check spans against their note text: bounds, surface match, non-overlap."""
+    """The one check of spans against their note: end within it, surface equal, no overlap."""
     problems: list[str] = []
     for s in spans:
         if s.end > len(text):
-            problems.append(f"span [{s.start},{s.end}) exceeds text length {len(text)}")
-            continue
-        if text[s.start : s.end] != s.raw_text:
             problems.append(
-                f"span [{s.start},{s.end}) raw_text {s.raw_text!r} does not match text"
+                f"span [{s.start},{s.end}) out of bounds for note of length {len(text)}"
+            )
+        elif text[s.start : s.end] != s.raw_text:
+            problems.append(
+                f"span [{s.start},{s.end}) raw_text {s.raw_text!r}"
+                f" does not match note text {text[s.start : s.end]!r}"
             )
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     for prev, cur in zip(ordered, ordered[1:]):

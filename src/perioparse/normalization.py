@@ -13,8 +13,6 @@ import enum
 from collections.abc import Iterable, Sequence
 
 from .model import (
-    DIMENSIONS,
-    LEGAL_DIMENSIONS,
     DiagnosisRecord,
     Dimension,
     Extent,
@@ -25,6 +23,7 @@ from .model import (
     Subtype,
     is_valid_record,
     join,
+    legalized,
 )
 
 
@@ -34,31 +33,6 @@ class GuidelineVersion(enum.Enum):
     CURRENT_2018 = "Current2018"
     LEGACY = "Legacy"
     NOT_APPLICABLE = "NotApplicable"
-
-
-# Per status, whether it may carry a stage, grade, extent and subtype.
-_OPTIONAL_LEGAL = {
-    status: tuple(dim in legal for dim in DIMENSIONS[1:])
-    for status, legal in LEGAL_DIMENSIONS.items()
-}
-
-
-def _legalized(
-    status: PeriodontalStatus,
-    stage: Stage | None,
-    grade: Grade | None,
-    extent: Extent | None,
-    subtype: Subtype | None,
-) -> DiagnosisRecord:
-    """Build a record, dropping fields the status cannot carry."""
-    stage_ok, grade_ok, extent_ok, subtype_ok = _OPTIONAL_LEGAL[status]
-    return DiagnosisRecord(
-        status,
-        stage if stage_ok else None,
-        grade if grade_ok else None,
-        extent if extent_ok else None,
-        subtype if subtype_ok else None,
-    )
 
 
 def statement_candidate(statement: Statement) -> DiagnosisRecord | None:
@@ -89,7 +63,7 @@ def statement_candidate(statement: Statement) -> DiagnosisRecord | None:
             return None
         status = PeriodontalStatus.PERIODONTITIS
     subtype = subtypes.pop() if len(subtypes) == 1 else None
-    return _legalized(status, stage, grade, extent, subtype)
+    return legalized(status, stage, grade, extent, subtype)
 
 
 def infer_status_context(statements: Iterable[Statement]) -> list[DiagnosisRecord]:
@@ -127,7 +101,7 @@ def adjudicate(candidates: Sequence[DiagnosisRecord]) -> DiagnosisRecord | None:
         if c.subtype is not None:
             subtypes.add(c.subtype)
     subtype = subtypes.pop() if len(subtypes) == 1 else None
-    record = _legalized(status, stage, grade, extent, subtype)
+    record = legalized(status, stage, grade, extent, subtype)
     assert is_valid_record(record)
     return record
 

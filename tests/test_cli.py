@@ -591,6 +591,39 @@ def test_span_offsets_must_be_json_integers(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+# Note text "D: Stage II periodontitis" has 25 characters; "II" spans [9,11).
+@pytest.mark.parametrize(
+    "spans, reason",
+    [
+        ([{**_STAGE_II, "start": -1}], "bad span offsets [-1,11)"),
+        ([{**_STAGE_II, "start": 11}], "bad span offsets [11,11)"),
+        ([{**_STAGE_II, "end": 30}], "span [9,30) out of bounds for note of length 25"),
+        ([{**_STAGE_II, "raw_text": "IX"}],
+         "span [9,11) raw_text 'IX' does not match note text 'II'"),
+        ([_STAGE_II, {**_STAGE_II, "start": 6}], "span [9,11) overlaps [6,11)"),
+    ],
+    ids=["negative-start", "empty", "end-past-text", "raw-text-mismatch", "overlap"],
+)
+def test_each_span_rule_has_one_message(tmp_path, capsys, spans, reason):
+    good = tmp_path / "good.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "D: Stage II periodontitis"))], good)
+    corpus = tmp_path / "in.jsonl"
+    corpus.write_text(
+        json.dumps({**json.loads(good.read_text(encoding="utf-8")), "spans": spans}) + "\n",
+        encoding="utf-8",
+    )
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"note_id": "n-1", "spans": spans}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("extract", corpus, out) == 1
+    assert run("extract", good, out, "--extractor", f"predictions={preds}") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {corpus}:1: malformed record: {reason}",
+        f"error: {preds}:1: malformed prediction record: note 'n-1': {reason}",
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["corpus", "meta", "predictions"])
 @pytest.mark.parametrize(
     "bad_id, reason",

@@ -1,8 +1,11 @@
 import itertools
+import operator
 
 import pytest
 
+from oracles import legal_records
 from perioparse.model import (
+    LEGAL_RECORDS,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -13,6 +16,7 @@ from perioparse.model import (
     Subtype,
     is_valid_record,
     join,
+    legalized,
     span_violations,
     validate_record,
 )
@@ -34,6 +38,13 @@ def test_severity_order():
 def test_rank_is_definition_index():
     for cls in (PeriodontalStatus, Stage, Grade, Extent):
         assert [m.rank for m in cls] == list(range(len(cls)))
+        for a, b in itertools.product(cls, repeat=2):
+            assert (a < b, a <= b, a > b, a >= b) == (
+                a.rank < b.rank, a.rank <= b.rank, a.rank > b.rank, a.rank >= b.rank
+            )
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(Stage.I, Grade.A)
 
 
 def test_max_severity_exhaustive_matches_stated_order():
@@ -111,6 +122,17 @@ def test_validate_record_full_product_against_legality_predicate():
                         assert is_valid_record(record) == legal(
                             status, stage, grade, extent, subtype
                         )
+                        kept = legalized(status, stage, grade, extent, subtype)
+                        assert is_valid_record(kept)
+                        assert kept == DiagnosisRecord(
+                            status,
+                            stage if status is P else None,
+                            grade if status is P else None,
+                            extent if status is not H else None,
+                            subtype if status is not P else None,
+                        )
+    assert len(set(LEGAL_RECORDS)) == len(LEGAL_RECORDS) == 76
+    assert set(LEGAL_RECORDS) == set(legal_records())
 
 
 def test_entity_span_rejects_bad_offsets():
