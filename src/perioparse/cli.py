@@ -134,7 +134,13 @@ def _cmd_synth(args) -> int:
     config = read_config(args.config) if args.config else {}
     sections = DEFAULT_PROMPT_SECTIONS
     if config.get("prompt_file"):
-        sections = read_prompt_sections(config["prompt_file"])
+        path = config["prompt_file"]
+        try:
+            sections = read_prompt_sections(path)
+        except OSError as exc:
+            raise UsageError(f"{path}: cannot read prompt file: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     if args.templates:
         templates = templates_from_corpus(read_corpus(args.templates))
@@ -246,6 +252,8 @@ def _cmd_evaluate(args) -> int:
     for flag, value in (("--step", args.step), ("--window", args.window)):
         if args.curve and value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
+    if args.curve and not 0 < args.epsilon < math.inf:
+        raise UsageError(f"--epsilon must be finite and above 0, got {args.epsilon}")
     gold = read_corpus(args.gold_in)
     pred = read_corpus(args.pred_in)
     try:

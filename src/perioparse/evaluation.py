@@ -8,6 +8,7 @@ never an averaged class.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -233,11 +234,14 @@ def detect_stabilization(
     """Smallest size after which `window` consecutive deltas stay below epsilon.
 
     Returns None when the curve never exhibits a full window of small deltas.
+    A window below 1, or an epsilon that is not finite and above 0, raises ValueError.
     """
     if len(sizes) != len(values):
         raise ValueError("sizes and values must align")
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and above 0, got {epsilon}")
     deltas = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
     for k in range(len(deltas) - window + 1):
         if all(d < epsilon for d in deltas[k : k + window]):

@@ -13,10 +13,15 @@ The grammar recognizes diagnosis statements (anchored by "D:", "Dx:",
 stage and grade markers, extent adjectives, and periodontium subtype
 phrases. Entity words of four or more letters tolerate a single-character
 typo. What a word means is read from one lexicon record per distinct
-lowercase token (`_lex`), built once from the `_LEXICON` tables. Extent
-adjectives attach to the nearest status-like head on their right;
-adjectives whose head is an unrelated noun (e.g. "Generalized Recession")
-yield no span.
+lowercase token (`_lex`), built once from the `_LEXICON` tables.
+
+Each region is read in one left-to-right pass. An element whose dimension
+the current statement already holds opens the next statement. An extent
+adjective joins a statement only if the next word outside the skip
+adjectives (`_HEAD_SKIP_WORDS`: "chronic", "mild", ...) starts a status,
+stage or grade element, and joins that element's statement; otherwise it
+yields no span ("Generalized Recession", or "Localized" in "Localized
+Generalized Periodontitis").
 """
 
 from __future__ import annotations
@@ -289,6 +294,8 @@ def normalize_value(dimension: Dimension, raw_text: str):
     a subtype phrase may use the connectors the grammar skips ("with", "on
     a", ",", ...) and must end on its last token.
     """
+    if not isinstance(dimension, Dimension):
+        raise ValueError(f"unknown dimension {dimension!r}")
     raw = raw_text.strip().lower()
     if not raw:
         return None
@@ -296,8 +303,6 @@ def normalize_value(dimension: Dimension, raw_text: str):
         tokens = tokenize(raw)
         value, last = _match_subtype(tokens, 0) or (None, -1)
         return value if last == len(tokens) - 1 else None
-    if not isinstance(dimension, Dimension):
-        raise ValueError(f"unknown dimension {dimension!r}")
     return getattr(_lex(raw), FIELD_NAMES[dimension])
 
 
@@ -305,111 +310,86 @@ def _token_span(dimension: Dimension, value, tok: Token) -> EntitySpan:
     return EntitySpan(dimension, value, tok.start, tok.end, tok.text)
 
 
-def _scan_elements(text: str, tokens: list[Token], informal: bool, sentence_text: str):
-    """Pass A: classify region tokens into elements and extent candidates.
+def _read_word(
+    text: str, tokens: list[Token], i: int, informal: bool, sentence_text: str, after_stage: bool
+) -> tuple[EntitySpan | None, int]:
+    """The element or extent the word token i starts, or None, and the last token it consumed.
 
-    Elements are (span, first token, last token) in token order; extent
-    candidates are (span, token index).
+    `after_stage` says whether the word before it ended a stage element.
     """
-    elements: list[tuple[EntitySpan, int, int]] = []
-    extents: list[tuple[EntitySpan, int]] = []
-    stage_value_tokens: set[int] = set()
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not _is_word(tok):
-            i += 1
-            continue
-        lex = _lex(tok.text.lower())
+    tok = tokens[i]
+    lex = _lex(tok.text.lower())
+    sub = _match_subtype(tokens, i)
+    if sub is not None:
+        value, last = sub
+        end = tokens[last].end
+        if value is None:
+            return None, last
+        return EntitySpan(Dimension.SUBTYPE, value, tok.start, end, text[tok.start : end]), last
 
-        sub = _match_subtype(tokens, i)
-        if sub is not None:
-            value, last = sub
-            if value is not None:
-                end = tokens[last].end
-                span = EntitySpan(Dimension.SUBTYPE, value, tok.start, end, text[tok.start : end])
-                elements.append((span, i, last))
-            i = last + 1
-            continue
+    status = _status(lex, sentence_text)
+    if status is PeriodontalStatus.PERIODONTITIS:
+        prev = _prev_content(tokens, i)
+        if prev is not None and _lex(tokens[prev].text.lower()).qualifier is not None:
+            status = None
+    if status is not None:
+        return _token_span(Dimension.STATUS, status, tok), i
 
-        status = _status(lex, sentence_text)
-        if status is PeriodontalStatus.PERIODONTITIS:
-            prev = _prev_content(tokens, i)
-            if prev is not None and _lex(tokens[prev].text.lower()).qualifier is not None:
-                status = None
-        if status is not None:
-            elements.append((_token_span(Dimension.STATUS, status, tok), i, i))
-            i += 1
-            continue
+    if lex.stage_marker or lex.grade_marker:
+        j = _next_content(tokens, i)
+        value = Lex() if j is None else _lex(tokens[j].text.lower())
+        if lex.stage_marker and value.stage is not None:
+            return _token_span(Dimension.STAGE, value.stage, tokens[j]), j
+        if lex.grade_marker and value.grade is not None:
+            return _token_span(Dimension.GRADE, value.grade, tokens[j]), j
 
-        if lex.stage_marker or lex.grade_marker:
+    if informal:
+        # Bare roman numeral (digits are never upper case) followed by a bare grade letter.
+        if lex.stage is not None and tok.text.isupper():
             j = _next_content(tokens, i)
-            value = Lex() if j is None else _lex(tokens[j].text.lower())
-            if lex.stage_marker and value.stage is not None:
-                elements.append((_token_span(Dimension.STAGE, value.stage, tokens[j]), i, j))
-                stage_value_tokens.add(j)
-                i = j + 1
-                continue
-            if lex.grade_marker and value.grade is not None:
-                elements.append((_token_span(Dimension.GRADE, value.grade, tokens[j]), i, j))
-                i = j + 1
-                continue
+            if j is not None and tokens[j].text in ("A", "B", "C"):
+                return _token_span(Dimension.STAGE, lex.stage, tok), i
+        # Bare grade letter trailing a stage value token.
+        if tok.text in ("A", "B", "C") and after_stage:
+            return _token_span(Dimension.GRADE, lex.grade, tok), i
 
-        if informal:
-            # Bare roman numeral (digits are never upper case) followed by a bare grade letter.
-            if lex.stage is not None and tok.text.isupper():
-                j = _next_content(tokens, i)
-                if j is not None and tokens[j].text in ("A", "B", "C"):
-                    elements.append((_token_span(Dimension.STAGE, lex.stage, tok), i, i))
-                    stage_value_tokens.add(i)
-                    i += 1
-                    continue
-            # Bare grade letter trailing a stage value token.
-            if tok.text in ("A", "B", "C") and _prev_content(tokens, i) in stage_value_tokens:
-                elements.append((_token_span(Dimension.GRADE, lex.grade, tok), i, i))
-                i += 1
-                continue
-
-        if lex.extent is not None:
-            extents.append((_token_span(Dimension.EXTENT, lex.extent, tok), i))
-        i += 1
-    return elements, extents
+    if lex.extent is not None:
+        return _token_span(Dimension.EXTENT, lex.extent, tok), i
+    return None, i
 
 
 def _build_statements(
     text: str, tokens: list[Token], informal: bool, hedged: bool, sentence_text: str
 ) -> list[Statement]:
-    """Pass B and C: group elements into statements and attach extents."""
-    elements, extents = _scan_elements(text, tokens, informal, sentence_text)
-    if not elements:
-        return []
+    """Group a region's elements into statements in one left-to-right pass.
 
-    # A statement holds at most one element per dimension; a repeated
-    # dimension opens the next one.
-    groups: list[dict[Dimension, EntitySpan]] = []
-    head_group: dict[int, int] = {}  # token of a status/stage/grade element -> its group
-    for span, first, last in elements:
-        if not groups or span.dimension in groups[-1]:
-            groups.append({})
-        groups[-1][span.dimension] = span
-        if span.dimension is not Dimension.SUBTYPE:
-            head_group.update(dict.fromkeys(range(first, last + 1), len(groups) - 1))
-
-    statement_spans = [list(group.values()) for group in groups]
-    for span, idx in extents:
-        for j in range(idx + 1, len(tokens)):
-            if _is_word(tokens[j]) and tokens[j].text.lower() not in _HEAD_SKIP_WORDS:
-                if j in head_group:
-                    statement_spans[head_group[j]].append(span)
-                break
-
-    statements = []
-    for spans in statement_spans:
-        spans.sort(key=lambda s: s.start)
-        statements.append(
-            Statement(tuple(spans), hedged=hedged, start=spans[0].start, end=spans[-1].end)
-        )
-    return statements
+    A statement holds at most one element per dimension; a repeated dimension
+    opens the next one. An extent waits for the next word outside
+    `_HEAD_SKIP_WORDS`: it joins the statement of the status, stage or grade
+    element that starts there, and is dropped if none does.
+    """
+    groups: list[list[EntitySpan]] = []
+    extent = span = None
+    i = 0
+    while i < len(tokens):
+        if not _is_word(tokens[i]):
+            i += 1
+            continue
+        after_stage = span is not None and span.dimension is Dimension.STAGE
+        span, last = _read_word(text, tokens, i, informal, sentence_text, after_stage)
+        if span is not None and span.dimension is not Dimension.EXTENT:
+            if not groups or any(s.dimension is span.dimension for s in groups[-1]):
+                groups.append([])
+            if extent is not None and span.dimension is not Dimension.SUBTYPE:
+                groups[-1].append(extent)
+            groups[-1].append(span)
+        if tokens[i].text.lower() not in _HEAD_SKIP_WORDS:
+            extent = span if span is not None and span.dimension is Dimension.EXTENT else None
+        i = last + 1
+    return [
+        Statement(tuple(spans), hedged=hedged, start=spans[0].start, end=spans[-1].end)
+        for spans in groups
+    ]
 
 
 def _find_anchor_regions(tokens: list[Token]) -> list[int]:
@@ -465,13 +445,7 @@ def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
 
 def extract_entities(text: str, mode: str = "strict") -> list[EntitySpan]:
     """All entity spans in the note, in text order."""
-    spans = [
-        span
-        for statement in extract_statements(text, mode)
-        for span in statement.spans
-    ]
-    spans.sort(key=lambda s: s.start)
-    return spans
+    return [span for statement in extract_statements(text, mode) for span in statement.spans]
 
 
 def diagnose(

@@ -231,25 +231,35 @@ def parse_label_trailer(text: str) -> tuple[str, DiagnosisRecord | None]:
 
 
 def read_prompt_sections(path) -> PromptSections:
-    """Read a plain-text prompt file with [rules] / [components] / [labeling] headers."""
+    """Read a plain-text prompt file with [rules] / [components] / [labeling] headers.
+
+    A file that is not UTF-8, an unknown or repeated header, or a missing
+    section raises ValueError naming the path (and the header's line).
+    """
+    names = [f.name for f in fields(PromptSections)]
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: prompt file is not UTF-8: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         header = re.fullmatch(r"\[(\w+)\]", line.strip())
         if header:
             current = header.group(1).lower()
+            if current not in names:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown prompt section [{current}]; expected one of {names}"
+                )
+            if current in sections:
+                raise ValueError(f"{path}:{lineno}: prompt section [{current}] repeated")
             sections[current] = []
-            continue
-        if current is not None:
+        elif current is not None:
             sections[current].append(line)
-    missing = {"rules", "components", "labeling"} - sections.keys()
+    missing = set(names) - sections.keys()
     if missing:
         raise ValueError(f"{path}: prompt file missing sections: {sorted(missing)}")
-    return PromptSections(
-        rules="\n".join(sections["rules"]).strip(),
-        components="\n".join(sections["components"]).strip(),
-        labeling="\n".join(sections["labeling"]).strip(),
-    )
+    return PromptSections(**{name: "\n".join(lines).strip() for name, lines in sections.items()})
 
 
 # --------------------------------------------------------------------------
@@ -289,13 +299,13 @@ _SUBTYPE_PHRASES = {
     ),
 }
 
-_SUBTYPE_CONNECTORS = (" on {article} ", " with {article} ")
-
 _TYPO_WORD_RE = re.compile(r"[A-Za-z]{5,}")
 
 
 @dataclass
 class _Atom:
+    """A word or sentence of a rendered note, and the gold span label it carries, if any."""
+
     text: str
     dimension: Dimension | None = None
     value: object = None
@@ -309,59 +319,55 @@ def _diagnosis_atoms(
     distractor: bool,
     rng: random.Random,
 ) -> list[_Atom]:
-    """Render one diagnosis sentence as atoms carrying span metadata."""
-    atoms: list[_Atom] = []
-    if anchor is not None:
-        atoms.append(_Atom(anchor))
-        atoms.append(_Atom(" "))
-
+    """Render one diagnosis sentence as word atoms carrying span metadata."""
+    atoms = [] if anchor is None else [_Atom(anchor)]
     if informal_style == "extent_roman":
         atoms.append(_Atom(record.extent.value, Dimension.EXTENT, record.extent, typo_ok=True))
-        atoms.append(_Atom(" "))
         atoms.append(_Atom(record.stage.value, Dimension.STAGE, record.stage))
-        atoms.append(_Atom(" "))
         atoms.append(_Atom(record.grade.value, Dimension.GRADE, record.grade))
     elif informal_style == "stage_arabic":
-        arabic = str(record.stage.rank + 1)
         atoms.append(_Atom("Stage", typo_ok=True))
-        atoms.append(_Atom(" "))
-        atoms.append(_Atom(arabic, Dimension.STAGE, record.stage))
-        atoms.append(_Atom(" "))
+        atoms.append(_Atom(str(record.stage.rank + 1), Dimension.STAGE, record.stage))
         atoms.append(_Atom(record.grade.value, Dimension.GRADE, record.grade))
     else:
         if record.extent is not None:
             atoms.append(_Atom(record.extent.value, Dimension.EXTENT, record.extent, typo_ok=True))
-            atoms.append(_Atom(" "))
         if record.status is PeriodontalStatus.HEALTH:
             atoms.append(_Atom("Gingival"))
-            atoms.append(_Atom(" "))
             atoms.append(_Atom("health", Dimension.STATUS, record.status, typo_ok=True))
         else:
-            atoms.append(
-                _Atom(record.status.value, Dimension.STATUS, record.status, typo_ok=True)
-            )
+            atoms.append(_Atom(record.status.value, Dimension.STATUS, record.status, typo_ok=True))
         if record.stage is not None:
-            atoms.append(_Atom(" "))
             atoms.append(_Atom("Stage", typo_ok=True))
-            atoms.append(_Atom(" "))
             atoms.append(_Atom(record.stage.value, Dimension.STAGE, record.stage))
         if record.grade is not None:
-            atoms.append(_Atom(" "))
             atoms.append(_Atom("Grade", typo_ok=True))
-            atoms.append(_Atom(" "))
             atoms.append(_Atom(record.grade.value, Dimension.GRADE, record.grade))
         if record.subtype is not None:
             phrase = rng.choice(_SUBTYPE_PHRASES[record.subtype])
-            article = "an" if phrase[0] in "aeiou" else "a"
-            atoms.append(_Atom(rng.choice(_SUBTYPE_CONNECTORS).format(article=article)))
+            atoms.append(_Atom(rng.choice(("on", "with"))))
+            atoms.append(_Atom("an" if phrase[0] in "aeiou" else "a"))
             atoms.append(_Atom(phrase, Dimension.SUBTYPE, record.subtype, typo_ok=True))
     if distractor:
-        atoms.append(_Atom(" with "))
+        atoms.append(_Atom("with"))
         atoms.append(_Atom(rng.choice(("Generalized", "Localized"))))
-        atoms.append(_Atom(" "))
         atoms.append(_Atom("Recession"))
     atoms.append(_Atom("."))
     return atoms
+
+
+def _render(atoms: list[_Atom]) -> tuple[str, tuple[EntitySpan, ...]]:
+    """Join atoms with single spaces, none before ".", and span each labelled atom."""
+    text = ""
+    spans = []
+    for atom in atoms:
+        if text and atom.text != ".":
+            text += " "
+        if atom.dimension is not None:
+            end = len(text) + len(atom.text)
+            spans.append(EntitySpan(atom.dimension, atom.value, len(text), end, atom.text))
+        text += atom.text
+    return text, tuple(spans)
 
 
 def _safe_typo(word: str, rng: random.Random) -> str:
@@ -453,41 +459,17 @@ def compose_note(
         _inject_typo(atoms, rng)
 
     candidates = [record]
-    secondary_atoms: list[_Atom] | None = None
     if rng.random() < perturb.multi_diagnosis_rate:
         secondary = _secondary_record(record, rng)
         candidates.append(secondary)
-        secondary_atoms = _diagnosis_atoms(secondary, "Dx:", None, False, rng)
+        atoms += _diagnosis_atoms(secondary, "Dx:", None, False, rng)
 
-    pieces: list[str] = []
-    spans: list[EntitySpan] = []
-    pos = 0
-
-    def add(text: str, dim: Dimension | None = None, value=None):
-        nonlocal pos
-        if dim is not None:
-            spans.append(EntitySpan(dim, value, pos, pos + len(text), text))
-        pieces.append(text)
-        pos += len(text)
-
-    for sentence in intro:
-        add(sentence)
-        add(" ")
-    for atom in atoms:
-        add(atom.text, atom.dimension, atom.value)
-    if secondary_atoms is not None:
-        add(" ")
-        for atom in secondary_atoms:
-            add(atom.text, atom.dimension, atom.value)
-    for sentence in outro:
-        add(" ")
-        add(sentence)
-
+    text, spans = _render([*map(_Atom, intro), *atoms, *map(_Atom, outro)])
     gold = adjudicate(candidates)
-    note = Note(note_id=note_id, site_id=site_id, text="".join(pieces), provenance=provenance)
+    note = Note(note_id=note_id, site_id=site_id, text=text, provenance=provenance)
     return AnnotatedNote(
         note=note,
-        spans=tuple(spans),
+        spans=spans,
         record=gold,
         annotation_source=AnnotationSource.EMBEDDED,
     )

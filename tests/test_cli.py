@@ -258,6 +258,10 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
         ("", ["synth", "--variants", 0], "variants_per_template"),
         ("", ["evaluate", "--curve", "--step", 0], "--step"),
         ("", ["evaluate", "--curve", "--window", 0], "--window"),
+        ("", ["evaluate", "--curve", "--epsilon", 0], "--epsilon"),
+        ("", ["evaluate", "--curve", "--epsilon", -1], "--epsilon"),
+        ("", ["evaluate", "--curve", "--epsilon", "nan"], "--epsilon"),
+        ("", ["evaluate", "--curve", "--epsilon", "inf"], "--epsilon"),
         ("typo_rate = 0.5\ntypo_rat = 0.9\n", ["synth"], "'typo_rat'"),
         ("temperature = x\n", ["synth"], "temperature"),
         ("max_concurrent_requests = 2.5\n", ["synth"], "max_concurrent_requests"),
@@ -268,7 +272,8 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
     ],
     ids=[
         "variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step",
-        "zero-curve-window", "misspelled-key", "temperature-not-a-number",
+        "zero-curve-window", "zero-epsilon", "negative-epsilon", "nan-epsilon",
+        "infinite-epsilon", "misspelled-key", "temperature-not-a-number",
         "fractional-concurrency", "duplicate-key",
     ],
 )
@@ -287,6 +292,36 @@ def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_tex
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists() and not eval_dir.exists()
+
+
+_SECTIONS = b"[rules]\nr\n[components]\nc\n[labeling]\nl\n"
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (b"[rules]\nr\n[components]\nc\n", "missing sections: ['labeling']"),
+        (_SECTIONS + b"[Rules]\nagain\n", ":7: prompt section [rules] repeated"),
+        (b"[notes]\nn\n" + _SECTIONS, ":1: unknown prompt section [notes]"),
+        (_SECTIONS + b"caf\xe9\n", "not UTF-8"),
+        (None, "cannot read prompt file"),
+    ],
+    ids=["missing-section", "repeated-header", "unknown-header", "not-utf8", "missing-file"],
+)
+def test_bad_prompt_file_is_usage_error(tmp_path, template_file, capsys, content, named):
+    prompt = tmp_path / "prompt.txt"
+    if content is not None:
+        prompt.write_bytes(content)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prompt_file = {prompt}\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = run("synth", "--offline", "--templates", template_file, "--config", config,
+               "--seed", 1, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {prompt}") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("per_category", [0, -1])

@@ -311,6 +311,16 @@ def test_window_below_one_rejected(window):
         detect_stabilization([30, 60, 90, 120], [0.1, 0.5, 0.9, 0.2], 0.01, window)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_epsilon_not_finite_and_positive_rejected(epsilon):
+    # before this check 0, -1 and nan never stabilized and inf stabilized at once
+    with pytest.raises(ValueError, match="epsilon"):
+        detect_stabilization([30, 60, 90], [0.9, 0.9, 0.9], epsilon, 1)
+    notes = _pool([FULL] * 4)
+    with pytest.raises(ValueError, match="epsilon"):
+        learning_curve(notes, {n.note.note_id: FULL for n in notes}, 2, epsilon)
+
+
 def test_learning_curve_sizes_and_prefix_determinism():
     from perioparse.corpus import AnnotatedNote, Note
 
@@ -398,7 +408,7 @@ _LEGAL = legal_records()
     ),
     step=st.integers(min_value=1, max_value=25),
     seed=st.integers(min_value=0, max_value=2**31),
-    epsilon=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+    epsilon=st.sampled_from([1e-9, 0.01, 0.2, 1.0]),
     window=st.integers(min_value=1, max_value=3),
     dimension=st.sampled_from(DIMENSIONS),
 )

@@ -166,6 +166,43 @@ def test_recession_distractor_absorbs_extent():
     ]
 
 
+_E, _ST, _SG, _GR, _SUB = (
+    Dimension.EXTENT, Dimension.STATUS, Dimension.STAGE, Dimension.GRADE, Dimension.SUBTYPE
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "text, statements",
+    [
+        (
+            "D: Generalized chronic periodontitis Stage II",
+            [[(_E, "Generalized"), (_ST, "periodontitis"), (_SG, "II")]],
+        ),
+        ("D: Localized Generalized Periodontitis", [[(_E, "Generalized"), (_ST, "Periodontitis")]]),
+        ("D: Generalized intact periodontium", [[(_SUB, "intact periodontium")]]),
+        (
+            "D: Periodontitis Stage II Generalized Stage III Grade B",
+            [
+                [(_ST, "Periodontitis"), (_SG, "II")],
+                [(_E, "Generalized"), (_SG, "III"), (_GR, "B")],
+            ],
+        ),
+        ("Dx: Generalized Dx: Periodontitis", [[(_ST, "Periodontitis")]]),
+        ("D: Generalized, Periodontitis", [[(_E, "Generalized"), (_ST, "Periodontitis")]]),
+        ("D: Generalized Recession", []),
+        ("D: Periodontitis B", [[(_ST, "Periodontitis")]]),
+    ],
+    ids=[
+        "skips-adjective", "next-word-only", "subtype-is-no-head", "joins-second-statement",
+        "region-ends-extent", "skips-punctuation", "unrelated-noun", "bare-letter-needs-stage",
+    ],
+)
+def test_statement_grouping_and_extent_heads(text, statements, mode):
+    got = [[(s.dimension, s.raw_text) for s in st.spans] for st in extract_statements(text, mode)]
+    assert got == statements
+
+
 def test_sentence_initial_diagnosis():
     text = "Generalized Stage 3 Grade B"
     assert spans_of(text) == [
@@ -457,6 +494,24 @@ def test_skipping_anchorless_sentences_changes_no_statement(pieces, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extraction, "_may_hold_anchor", lambda sentence_text: True)
         assert extract_statements(text, mode) == statements
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(
+            st.sampled_from([*_TEXT_PIECES, "mild", "severe", "Recession"]),
+            st.sampled_from(["", " ", ", "]),
+        ),
+        max_size=30,
+    ),
+    mode=st.sampled_from(MODES),
+)
+def test_statement_order_is_text_order(pieces, mode):
+    text = "".join(piece + sep for piece, sep in pieces)
+    spans = extract_entities(text, mode)
+    assert spans == list(diagnose(text, mode)[0])
+    assert [s.start for s in spans] == sorted(s.start for s in spans)
 
 
 def test_word_memo_stays_bounded_on_many_distinct_words():

@@ -104,6 +104,12 @@ def test_normalize_value(dimension, raw, expected):
     assert normalize_value(dimension, raw) == expected
 
 
+@pytest.mark.parametrize("raw", ["III", ""])
+def test_normalize_value_rejects_unknown_dimension(raw):
+    with pytest.raises(ValueError, match="unknown dimension"):
+        normalize_value("Stage", raw)
+
+
 def test_normalize_status_edit_distance_against_dictionary_oracle():
     vocab = {
         "periodontitis": P,
