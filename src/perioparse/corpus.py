@@ -11,7 +11,6 @@ import json
 import math
 import os
 import random
-import tempfile
 import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -251,9 +250,11 @@ def atomic_write_text(path, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see partial output."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # Mode "x" makes a new file, with the mode open() gives: 0o666 less the umask.
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

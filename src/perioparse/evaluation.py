@@ -228,6 +228,13 @@ class LearningCurve:
     stabilization_size: int | None
 
 
+def _check_stabilization_args(epsilon: float, window: int) -> None:
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and above 0, got {epsilon}")
+
+
 def detect_stabilization(
     sizes: Sequence[int], values: Sequence[float], epsilon: float = 0.01, window: int = 2
 ) -> int | None:
@@ -238,10 +245,7 @@ def detect_stabilization(
     """
     if len(sizes) != len(values):
         raise ValueError("sizes and values must align")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and above 0, got {epsilon}")
+    _check_stabilization_args(epsilon, window)
     deltas = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
     for k in range(len(deltas) - window + 1):
         if all(d < epsilon for d in deltas[k : k + window]):
@@ -261,8 +265,7 @@ def learning_curve(
     """Weighted F1 on seeded-shuffle prefixes of the gold pool, in fixed steps, in one pass."""
     if step < 1:
         raise ValueError("step must be positive")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    _check_stabilization_args(epsilon, window)
     if len(gold_notes) < step:
         raise ValueError(f"pool of {len(gold_notes)} notes is smaller than step {step}")
     _require_unique_ids((n.note.note_id for n in gold_notes), "gold pool")

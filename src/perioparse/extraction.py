@@ -4,11 +4,14 @@ This module alone decides what a surface string means: it holds the
 dimension vocabularies, and `normalize_value` reads one span string by the
 rules the grammar applies to a note.
 
-The tokenizer is non-destructive: tokens plus the whitespace between them
+The public tokenizer is reversible: tokens plus the whitespace between them
 reconstruct the input byte for byte, so character offsets stay valid no
 matter what consumes them downstream.
 
-The grammar recognizes diagnosis statements (anchored by "D:", "Dx:",
+The grammar reads word tokens only (alphanumeric runs); punctuation stays in
+the gaps between them and counts in two places: the ":" or "-" after an
+anchor word, and the connectors allowed between "reduced periodontium" and
+its qualifier. It recognizes diagnosis statements (anchored by "D:", "Dx:",
 "Diagnosis:", "D-", or opening a sentence) and, inside them, status words,
 stage and grade markers, extent adjectives, and periodontium subtype
 phrases. Entity words of four or more letters tolerate a single-character
@@ -101,13 +104,19 @@ _HEDGE_RE = re.compile(
 # Adjectives an extent word may look past when searching for its head.
 _HEAD_SKIP_WORDS = {"chronic", "mild", "moderate", "severe", "advanced", "early", "slight"}
 
-# Connectors allowed between "reduced periodontium" and its qualifier.
-_QUALIFIER_SKIP = {",", ";", "-", "/", "with", "due", "to", "on", "a", "an", "of", "from"}
+# Connectors allowed between "reduced periodontium" and its qualifier: these
+# words, whitespace, and the punctuation marks in `_CONNECTORS_RE`.
+_QUALIFIER_SKIP = {"with", "due", "to", "on", "a", "an", "of", "from"}
+_CONNECTORS_RE = re.compile(r"(?:[^\W_]|[\s,;/-])*")
 
 _PERIO_CONTEXT = re.compile(r"periodont|gingiv", re.IGNORECASE)
 
-_WORD_RE = re.compile(r"[^\W_]+")  # exactly the tokens `_is_word` accepts
+_WORD_RE = re.compile(r"[^\W_]+")  # exactly the word tokens of `tokenize`
 _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
+# A word, optional whitespace, then ":" or "-": an anchor if the word is one.
+# The lookbehind tries each word only from its start, which keeps the search
+# linear in the length of a word.
+_ANCHOR_RE = re.compile(r"(?<![^\W_])([^\W_]+)\s*[:-]")
 _SENTENCE_RE = re.compile(r"[^.!?\n]+")
 
 
@@ -120,7 +129,7 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str, pos: int = 0, endpos: int = sys.maxsize) -> list[Token]:
-    """Split text into maximal alphanumeric runs and single punctuation marks.
+    """The public reversible tokenizer: alphanumeric runs and single punctuation marks.
 
     Whitespace is never part of a token; it survives as the gaps between
     offsets, which is what makes the tokenization reversible. As in
@@ -238,50 +247,37 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     return found
 
 
-def _is_word(tok: Token) -> bool:
-    return tok.text[0].isalnum()
+def _words(text: str, pos: int, endpos: int) -> list[Token]:
+    """The word tokens of `text[pos:endpos]`, with absolute offsets: all the grammar reads."""
+    return [Token(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text, pos, endpos)]
 
 
-def _next_content(tokens: list[Token], i: int) -> int | None:
-    for j in range(i + 1, len(tokens)):
-        if _is_word(tokens[j]):
-            return j
-    return None
+def _match_subtype(text: str, words: list[Token], i: int):
+    """Try a periodontium subtype phrase starting at word i.
 
-
-def _prev_content(tokens: list[Token], i: int) -> int | None:
-    for j in range(i - 1, -1, -1):
-        if _is_word(tokens[j]):
-            return j
-    return None
-
-
-def _match_subtype(tokens: list[Token], i: int):
-    """Try a periodontium subtype phrase starting at token i.
-
-    Returns (value_or_None, last_token_index) when the opener matched, else None.
-    A bare "reduced periodontium" without a qualifier consumes its tokens but
+    Returns (value_or_None, last_word_index) when the opener matched, else None.
+    A bare "reduced periodontium" without a qualifier consumes its words but
     carries no determinable value.
     """
-    lex = _lex(tokens[i].text.lower())
+    lex = _lex(words[i].text.lower())
     if not (lex.intact or lex.reduced):
         return None
-    j = _next_content(tokens, i)
-    if j is None or not _lex(tokens[j].text.lower()).periodontium:
+    j = i + 1
+    if j == len(words) or not _lex(words[j].text.lower()).periodontium:
         return None
     if lex.intact:
         return Subtype.INTACT_PERIODONTIUM, j
-    # qualifier scan
+    # qualifier scan: past connector words; between them, connector punctuation only
     k = j + 1
-    while k < len(tokens) and tokens[k].text.lower() in _QUALIFIER_SKIP:
+    while k < len(words) and words[k].text.lower() in _QUALIFIER_SKIP:
         k += 1
-    qualifier = _lex(tokens[k].text.lower()).qualifier if k < len(tokens) else None
-    if qualifier is not None:
-        m = _next_content(tokens, k)
-        if qualifier is _STABLE and m is not None and tokens[m].text.lower() in ("stable", "past"):
-            m = _next_content(tokens, m)
-        status = None if m is None else _lex(tokens[m].text.lower()).status
-        if status is PeriodontalStatus.PERIODONTITIS:
+    if k < len(words) and _CONNECTORS_RE.fullmatch(text, words[j].end, words[k].start):
+        qualifier = _lex(words[k].text.lower()).qualifier
+        m = k + 1
+        if qualifier is _STABLE and m < len(words) and words[m].text.lower() in ("stable", "past"):
+            m += 1
+        status = _lex(words[m].text.lower()).status if m < len(words) else None
+        if qualifier is not None and status is PeriodontalStatus.PERIODONTITIS:
             return qualifier, m
     return None, j  # bare "reduced periodontium": consume, no value
 
@@ -292,7 +288,7 @@ def normalize_value(dimension: Dimension, raw_text: str):
     Stages are roman I-IV or arabic 1-4, grades a letter, in any case. Words
     match as in a note, one edit allowed in a word of four or more letters;
     a subtype phrase may use the connectors the grammar skips ("with", "on
-    a", ",", ...) and must end on its last token.
+    a", ",", ...) and must cover the string from its first to its last character.
     """
     if not isinstance(dimension, Dimension):
         raise ValueError(f"unknown dimension {dimension!r}")
@@ -300,9 +296,9 @@ def normalize_value(dimension: Dimension, raw_text: str):
     if not raw:
         return None
     if dimension is Dimension.SUBTYPE:
-        tokens = tokenize(raw)
-        value, last = _match_subtype(tokens, 0) or (None, -1)
-        return value if last == len(tokens) - 1 else None
+        words = _words(raw, 0, len(raw))
+        sub = _match_subtype(raw, words, 0) if words and words[0].start == 0 else None
+        return sub[0] if sub and words[sub[1]].end == len(raw) else None
     return getattr(_lex(raw), FIELD_NAMES[dimension])
 
 
@@ -311,44 +307,41 @@ def _token_span(dimension: Dimension, value, tok: Token) -> EntitySpan:
 
 
 def _read_word(
-    text: str, tokens: list[Token], i: int, informal: bool, sentence_text: str, after_stage: bool
+    text: str, words: list[Token], i: int, informal: bool, sentence_text: str, after_stage: bool
 ) -> tuple[EntitySpan | None, int]:
-    """The element or extent the word token i starts, or None, and the last token it consumed.
+    """The element or extent word i starts, or None, and the last word it consumed.
 
     `after_stage` says whether the word before it ended a stage element.
     """
-    tok = tokens[i]
+    tok = words[i]
     lex = _lex(tok.text.lower())
-    sub = _match_subtype(tokens, i)
+    sub = _match_subtype(text, words, i)
     if sub is not None:
         value, last = sub
-        end = tokens[last].end
+        end = words[last].end
         if value is None:
             return None, last
         return EntitySpan(Dimension.SUBTYPE, value, tok.start, end, text[tok.start : end]), last
 
     status = _status(lex, sentence_text)
-    if status is PeriodontalStatus.PERIODONTITIS:
-        prev = _prev_content(tokens, i)
-        if prev is not None and _lex(tokens[prev].text.lower()).qualifier is not None:
+    if status is PeriodontalStatus.PERIODONTITIS and i:
+        if _lex(words[i - 1].text.lower()).qualifier is not None:
             status = None
     if status is not None:
         return _token_span(Dimension.STATUS, status, tok), i
 
-    if lex.stage_marker or lex.grade_marker:
-        j = _next_content(tokens, i)
-        value = Lex() if j is None else _lex(tokens[j].text.lower())
+    nxt = words[i + 1] if i + 1 < len(words) else None
+    if (lex.stage_marker or lex.grade_marker) and nxt is not None:
+        value = _lex(nxt.text.lower())
         if lex.stage_marker and value.stage is not None:
-            return _token_span(Dimension.STAGE, value.stage, tokens[j]), j
+            return _token_span(Dimension.STAGE, value.stage, nxt), i + 1
         if lex.grade_marker and value.grade is not None:
-            return _token_span(Dimension.GRADE, value.grade, tokens[j]), j
+            return _token_span(Dimension.GRADE, value.grade, nxt), i + 1
 
     if informal:
         # Bare roman numeral (digits are never upper case) followed by a bare grade letter.
-        if lex.stage is not None and tok.text.isupper():
-            j = _next_content(tokens, i)
-            if j is not None and tokens[j].text in ("A", "B", "C"):
-                return _token_span(Dimension.STAGE, lex.stage, tok), i
+        if lex.stage is not None and tok.text.isupper() and nxt and nxt.text in ("A", "B", "C"):
+            return _token_span(Dimension.STAGE, lex.stage, tok), i
         # Bare grade letter trailing a stage value token.
         if tok.text in ("A", "B", "C") and after_stage:
             return _token_span(Dimension.GRADE, lex.grade, tok), i
@@ -359,7 +352,7 @@ def _read_word(
 
 
 def _build_statements(
-    text: str, tokens: list[Token], informal: bool, hedged: bool, sentence_text: str
+    text: str, words: list[Token], informal: bool, hedged: bool, sentence_text: str
 ) -> list[Statement]:
     """Group a region's elements into statements in one left-to-right pass.
 
@@ -371,33 +364,21 @@ def _build_statements(
     groups: list[list[EntitySpan]] = []
     extent = span = None
     i = 0
-    while i < len(tokens):
-        if not _is_word(tokens[i]):
-            i += 1
-            continue
+    while i < len(words):
         after_stage = span is not None and span.dimension is Dimension.STAGE
-        span, last = _read_word(text, tokens, i, informal, sentence_text, after_stage)
+        span, last = _read_word(text, words, i, informal, sentence_text, after_stage)
         if span is not None and span.dimension is not Dimension.EXTENT:
             if not groups or any(s.dimension is span.dimension for s in groups[-1]):
                 groups.append([])
             if extent is not None and span.dimension is not Dimension.SUBTYPE:
                 groups[-1].append(extent)
             groups[-1].append(span)
-        if tokens[i].text.lower() not in _HEAD_SKIP_WORDS:
+        if words[i].text.lower() not in _HEAD_SKIP_WORDS:
             extent = span if span is not None and span.dimension is Dimension.EXTENT else None
         i = last + 1
     return [
         Statement(tuple(spans), hedged=hedged, start=spans[0].start, end=spans[-1].end)
         for spans in groups
-    ]
-
-
-def _find_anchor_regions(tokens: list[Token]) -> list[int]:
-    """Indices just past each anchor ("D" ":") within a sentence's tokens."""
-    return [
-        i + 2
-        for i in range(len(tokens) - 1)
-        if tokens[i + 1].text in (":", "-") and _lex(tokens[i].text.lower()).anchor
     ]
 
 
@@ -411,7 +392,7 @@ def _initial_trigger(sentence_text: str) -> bool:
 
 
 def _may_hold_anchor(sentence_text: str) -> bool:
-    """An anchor needs a ":" or "-" token; only such sentences are tokenized to look for one."""
+    """An anchor needs a ":" or "-" after its word; only a sentence holding one is searched."""
     return ":" in sentence_text or "-" in sentence_text
 
 
@@ -424,15 +405,15 @@ def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     for sent in _SENTENCE_RE.finditer(text):
         sentence_text = sent.group()
         start, end = sent.span()
-        # No token crosses a sentence boundary: the sentence terminators are
-        # neither word characters nor part of a multi-character token.
-        tokens = tokenize(text, start, end) if _may_hold_anchor(sentence_text) else None
-        anchor_starts = _find_anchor_regions(tokens) if tokens else []
-        if anchor_starts:
-            bounds = anchor_starts + [len(tokens) + 2]
-            regions = [tokens[a : max(a, b - 2)] for a, b in zip(bounds, bounds[1:])]
+        # An anchor ends at a ":" or "-", so the search stops after the last one.
+        stop = start + max(sentence_text.rfind(":"), sentence_text.rfind("-")) + 1
+        found = _ANCHOR_RE.finditer(text, start, stop) if _may_hold_anchor(sentence_text) else ()
+        anchors = [m for m in found if _lex(m.group(1).lower()).anchor]
+        if anchors:  # a region: the words after one anchor, up to the next anchor word
+            ends = [m.start() for m in anchors[1:]] + [end]
+            regions = [_words(text, m.end(), e) for m, e in zip(anchors, ends)]
         elif _initial_trigger(sentence_text):
-            regions = [tokens or tokenize(text, start, end)]
+            regions = [_words(text, start, end)]
         else:
             continue
         hedged = _HEDGE_RE.search(sentence_text.lower()) is not None

@@ -11,6 +11,7 @@ import http.client
 import json
 import os
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,6 +111,11 @@ def generate_llm(
     an unparseable trailer leaves the record blank for QA to flag rather
     than dropping the note.
     """
+    url = urllib.parse.urlsplit(config.endpoint_url)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ConfigurationError(
+            f"endpoint_url must be an http or https URL with a host, got {config.endpoint_url!r}"
+        )
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
         raise ConfigurationError(

@@ -193,6 +193,21 @@ def test_synth_online_without_api_key(tmp_path, template_file, monkeypatch):
     ) == 2
 
 
+@pytest.mark.parametrize("url", ["notaurl", "", "localhost:8080/v1/chat"])
+def test_synth_online_rejects_an_endpoint_that_is_no_http_url(
+    tmp_path, template_file, monkeypatch, capsys, url
+):
+    monkeypatch.setenv("OPENAI_API_KEY", "key")
+    config = tmp_path / "gen.cfg"
+    config.write_text(f"model_name = gpt-test\nendpoint_url = {url}\n", encoding="utf-8")
+    assert run(
+        "synth", "--online", "--templates", template_file, "--config", config,
+        "--out", tmp_path / "x.jsonl",
+    ) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: endpoint_url must be an http or https URL" in err
+
+
 def test_synth_online_against_mock_endpoint(tmp_path, monkeypatch):
     from test_llm import MockEndpoint
 

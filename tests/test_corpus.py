@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,17 @@ def test_write_and_read_name_the_same_repeated_id(tmp_path):
     path.write_text("\n".join([a, b, b, a]) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"{path}:3: duplicate note_id 'n-8'"):
         read_corpus(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_get_the_mode_the_umask_allows(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_corpus([make_note("n-1")], tmp_path / "c.jsonl")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "c.jsonl").stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
 
 def test_out_of_bounds_span_rejected_on_read(tmp_path):

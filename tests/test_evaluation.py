@@ -357,8 +357,11 @@ def _count_record_labels(monkeypatch):
 def test_learning_curve_checks_window_before_scoring(monkeypatch):
     calls = _count_record_labels(monkeypatch)
     notes = _pool([FULL] * 90)
+    preds = {n.note.note_id: FULL for n in notes}
     with pytest.raises(ValueError, match="window must be at least 1, got 0"):
-        learning_curve(notes, {n.note.note_id: FULL for n in notes}, step=30, window=0)
+        learning_curve(notes, preds, step=30, window=0)
+    with pytest.raises(ValueError, match="epsilon must be finite and above 0, got 0.0"):
+        learning_curve(notes, preds, step=30, epsilon=0.0)
     assert calls == []
 
 
