@@ -7,13 +7,9 @@ index) regardless of completion order.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import urllib.error
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import AnnotatedNote, AnnotationSource, Note, Provenance
@@ -64,6 +60,10 @@ def _complete(
     opener: urllib.request.OpenerDirector, config: GenerationConfig, api_key: str, prompt: str
 ) -> str:
     """One chat completion with retries on transport failures and 5xx."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     body = {
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -94,9 +94,14 @@ def _complete(
         if status != 200:
             raise GenerationError(f"endpoint rejected request: HTTP {status}")
         try:
-            return json.loads(payload)["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GenerationError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise GenerationError(
+                f"malformed completion payload: content must be a string, got {content!r:.60}"
+            )
+        return content
     raise GenerationError(f"gave up after {attempts} attempts: {last_error}")
 
 
@@ -111,6 +116,9 @@ def generate_llm(
     an unparseable trailer leaves the record blank for QA to flag rather
     than dropping the note.
     """
+    import urllib.request
+    from concurrent.futures import ThreadPoolExecutor
+
     url = urllib.parse.urlsplit(config.endpoint_url)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise ConfigurationError(

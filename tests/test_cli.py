@@ -237,6 +237,32 @@ def test_synth_online_against_mock_endpoint(tmp_path, monkeypatch):
         endpoint.close()
 
 
+def test_synth_online_completion_without_text_is_one_error_line(
+    tmp_path, template_file, monkeypatch, capsys
+):
+    from test_llm import MockEndpoint
+
+    monkeypatch.setenv("OPENAI_API_KEY", "key")
+    endpoint = MockEndpoint(trailer_mode="null")
+    try:
+        config = tmp_path / "gen.cfg"
+        config.write_text(
+            f"model_name = gpt-test\nendpoint_url = {endpoint.url}\n", encoding="utf-8"
+        )
+        out = tmp_path / "online.jsonl"
+        assert run(
+            "synth", "--online", "--templates", template_file, "--config", config,
+            "--variants", 1, "--out", out,
+        ) == 1
+    finally:
+        endpoint.close()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: template ")
+    assert "malformed completion payload: content must be a string, got None" in err[0]
+    assert not out.exists()
+
+
 def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsys):
     config = tmp_path / "perturb.cfg"
     config.write_text(

@@ -57,6 +57,9 @@ class MockEndpoint:
             return f"{note}\nLABELS: {{broken"
         if self.trailer_mode == "none":
             return note
+        if self.trailer_mode in ("null", "number"):
+            # a refusal or a content filter sends null content
+            return {"null": None, "number": 5}[self.trailer_mode]
         # parrot back the trailer the prompt asked for
         prompt = body["messages"][0]["content"]
         trailer = next(
@@ -220,6 +223,21 @@ def test_unparseable_trailer_keeps_note_with_blank_record(api_key):
         notes = generate_llm(templates, config_for(ep, variants_per_template=2))
         assert len(notes) == 2
         assert all(n.record is None for n in notes)
+    finally:
+        ep.close()
+
+
+@pytest.mark.parametrize("mode, shown", [("null", "None"), ("number", "5")])
+def test_completion_content_that_is_no_string_is_malformed(api_key, mode, shown):
+    ep = MockEndpoint(trailer_mode=mode)
+    try:
+        templates = demo_seed_templates(1)[:1]
+        config = config_for(ep, variants_per_template=1, max_concurrent_requests=1)
+        with pytest.raises(
+            GenerationError, match=f"malformed completion payload: content must be a string, got {shown}"
+        ):
+            generate_llm(templates, config)
+        assert len(ep.bodies) == 1  # a malformed payload is not retried
     finally:
         ep.close()
 
