@@ -41,6 +41,7 @@ from .extraction import (
     diagnose,
     extract_entities,
     extract_statements,
+    group_statements,
     normalize_value,
     tokenize,
 )

@@ -27,9 +27,9 @@ from .corpus import (
     write_manifest,
 )
 from .evaluation import evaluate_corpus, learning_curve, notes_by_site
-from .extraction import diagnose
+from .extraction import diagnose, group_statements
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
-from .model import Dimension, Statement
+from .model import Dimension
 from .normalization import adjudicate, classify_guideline_version, infer_status_context
 from .reporting import (
     REPORT_FORMATS,
@@ -231,9 +231,8 @@ def _cmd_extract(args) -> int:
         if predictions is None:
             spans, record = diagnose(annotated.note.text, args.mode)
         else:
-            # External spans carry no statement structure: adjudicate them as one.
             spans = predictions.get(annotated.note.note_id, ())
-            record = adjudicate(infer_status_context([Statement(spans)]))
+            record = adjudicate(infer_status_context(group_statements(annotated.note.text, spans)))
         extracted.append(
             annotated.with_(
                 spans=spans,
@@ -244,7 +243,8 @@ def _cmd_extract(args) -> int:
             )
         )
     write_corpus(extracted, args.out)
-    print(f"extracted {len(notes)} notes ({args.mode} mode)")
+    source = f"{args.mode} mode" if predictions is None else args.extractor
+    print(f"extracted {len(notes)} notes ({source})")
     return 0
 
 

@@ -16,23 +16,25 @@ its qualifier. It recognizes diagnosis statements (anchored by "D:", "Dx:",
 stage and grade markers, extent adjectives, and periodontium subtype
 phrases. Entity words of four or more letters tolerate a single-character
 typo. What a word means is read from one lexicon record per distinct
-lowercase token (`_lex`), built once from the `_LEXICON` tables.
+token (`_lex`), built once from the `_LEXICON` tables.
 
-Each region is read in one left-to-right pass. An element whose dimension
-the current statement already holds opens the next statement. An extent
-adjective joins a statement only if the next word outside the skip
-adjectives (`_HEAD_SKIP_WORDS`: "chronic", "mild", ...) starts a status,
-stage or grade element, and joins that element's statement; otherwise it
-yields no span ("Generalized Recession", or "Localized" in "Localized
-Generalized Periodontitis").
+The grammar reads each region in one pass and emits every span it finds;
+`group_statements`, the one grouping rule, then makes statements of them, as
+it does of an external tagger's spans. An extent survives grouping only if
+the next span, past skip adjectives ("chronic", "mild", ...) and its own
+"Stage"/"Grade" marker, is a status, stage or grade ("Generalized Recession"
+and the "Localized" of "Localized Generalized Periodontitis" do not).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
@@ -118,6 +120,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
 # linear in the length of a word.
 _ANCHOR_RE = re.compile(r"(?<![^\W_])([^\W_]+)\s*[:-]")
 _SENTENCE_RE = re.compile(r"[^.!?\n]+")
+_PASSAGE_RE = re.compile(r"[^.!?\n]*[.!?\n]*")  # a sentence and its end marks: covers every offset
 
 
 class Token(NamedTuple):
@@ -172,7 +175,7 @@ def within_one_edit(a: str, b: str) -> bool:
 
 
 class Lex(NamedTuple):
-    """What the grammar reads in one lowercase token: a field per `_LEXICON` table, and `opens`."""
+    """What the grammar reads in one token: a field per `_LEXICON` table, and `opens`."""
 
     status: PeriodontalStatus | None = None  # a health word also needs context: `_status`
     extent: Extent | None = None
@@ -189,13 +192,15 @@ class Lex(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _lex(low: str) -> Lex:
-    """The record of a lowercase token: what each `_LEXICON` word it matches means.
+def _lex(token: str) -> Lex:
+    """The record of a token, read in lower case: what each `_LEXICON` word it matches means.
 
-    A word matches itself and, if both have four or more letters, a token one
-    edit away. Words of different value are three or more edits apart, so each
-    field takes at most one value.
+    The memo is keyed by the token as written, so a token seen before is not
+    lowercased again. A word matches itself and, if both have four or more
+    letters, a token one edit away. Words of different value are three or more
+    edits apart, so each field takes at most one value.
     """
+    low = token.lower()
     words = [w for w in GRAMMAR_WORDS if within_one_edit(low, w)] if len(low) >= 4 else [low]
     lex = Lex(**{f: table[w] for f, table in _LEXICON.items() for w in words if w in table})
     opens = lex.extent is not None or lex.stage_marker or lex.intact or lex.reduced
@@ -247,36 +252,31 @@ def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
     return found
 
 
-def _words(text: str, pos: int, endpos: int) -> list[Token]:
-    """The word tokens of `text[pos:endpos]`, with absolute offsets: all the grammar reads."""
-    return [Token(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text, pos, endpos)]
-
-
-def _match_subtype(text: str, words: list[Token], i: int):
-    """Try a periodontium subtype phrase starting at word i.
+def _match_subtype(text: str, words: list[re.Match], lexes: list[Lex], i: int):
+    """Try a periodontium subtype phrase starting at word i; `lexes` are the words' records.
 
     Returns (value_or_None, last_word_index) when the opener matched, else None.
     A bare "reduced periodontium" without a qualifier consumes its words but
     carries no determinable value.
     """
-    lex = _lex(words[i].text.lower())
+    lex = lexes[i]
     if not (lex.intact or lex.reduced):
         return None
     j = i + 1
-    if j == len(words) or not _lex(words[j].text.lower()).periodontium:
+    if j == len(words) or not lexes[j].periodontium:
         return None
     if lex.intact:
         return Subtype.INTACT_PERIODONTIUM, j
     # qualifier scan: past connector words; between them, connector punctuation only
     k = j + 1
-    while k < len(words) and words[k].text.lower() in _QUALIFIER_SKIP:
+    while k < len(words) and words[k][0].lower() in _QUALIFIER_SKIP:
         k += 1
-    if k < len(words) and _CONNECTORS_RE.fullmatch(text, words[j].end, words[k].start):
-        qualifier = _lex(words[k].text.lower()).qualifier
+    if k < len(words) and _CONNECTORS_RE.fullmatch(text, words[j].end(), words[k].start()):
+        qualifier = lexes[k].qualifier
         m = k + 1
-        if qualifier is _STABLE and m < len(words) and words[m].text.lower() in ("stable", "past"):
+        if qualifier is _STABLE and m < len(words) and words[m][0].lower() in ("stable", "past"):
             m += 1
-        status = _lex(words[m].text.lower()).status if m < len(words) else None
+        status = lexes[m].status if m < len(words) else None
         if qualifier is not None and status is PeriodontalStatus.PERIODONTITIS:
             return qualifier, m
     return None, j  # bare "reduced periodontium": consume, no value
@@ -296,43 +296,44 @@ def normalize_value(dimension: Dimension, raw_text: str):
     if not raw:
         return None
     if dimension is Dimension.SUBTYPE:
-        words = _words(raw, 0, len(raw))
-        sub = _match_subtype(raw, words, 0) if words and words[0].start == 0 else None
-        return sub[0] if sub and words[sub[1]].end == len(raw) else None
+        words = list(_WORD_RE.finditer(raw))
+        lexes = [_lex(word.group()) for word in words]
+        sub = _match_subtype(raw, words, lexes, 0) if words and words[0].start() == 0 else None
+        return sub[0] if sub and words[sub[1]].end() == len(raw) else None
     return getattr(_lex(raw), FIELD_NAMES[dimension])
 
 
-def _token_span(dimension: Dimension, value, tok: Token) -> EntitySpan:
-    return EntitySpan(dimension, value, tok.start, tok.end, tok.text)
+def _token_span(dimension: Dimension, value, word: re.Match) -> EntitySpan:
+    return EntitySpan(dimension, value, word.start(), word.end(), word.group())
 
 
 def _read_word(
-    text: str, words: list[Token], i: int, informal: bool, sentence_text: str, after_stage: bool
+    text: str, words: list[re.Match], lexes: list[Lex], i: int, informal: bool,
+    sentence_text: str, after_stage: bool,
 ) -> tuple[EntitySpan | None, int]:
     """The element or extent word i starts, or None, and the last word it consumed.
 
     `after_stage` says whether the word before it ended a stage element.
     """
     tok = words[i]
-    lex = _lex(tok.text.lower())
-    sub = _match_subtype(text, words, i)
+    lex = lexes[i]
+    sub = _match_subtype(text, words, lexes, i)
     if sub is not None:
         value, last = sub
-        end = words[last].end
         if value is None:
             return None, last
-        return EntitySpan(Dimension.SUBTYPE, value, tok.start, end, text[tok.start : end]), last
+        start, end = tok.start(), words[last].end()
+        return EntitySpan(Dimension.SUBTYPE, value, start, end, text[start:end]), last
 
-    status = _status(lex, sentence_text)
-    if status is PeriodontalStatus.PERIODONTITIS and i:
-        if _lex(words[i - 1].text.lower()).qualifier is not None:
-            status = None
+    status = lex.status and _status(lex, sentence_text)
+    if status is PeriodontalStatus.PERIODONTITIS and i and lexes[i - 1].qualifier is not None:
+        status = None
     if status is not None:
         return _token_span(Dimension.STATUS, status, tok), i
 
     nxt = words[i + 1] if i + 1 < len(words) else None
     if (lex.stage_marker or lex.grade_marker) and nxt is not None:
-        value = _lex(nxt.text.lower())
+        value = lexes[i + 1]
         if lex.stage_marker and value.stage is not None:
             return _token_span(Dimension.STAGE, value.stage, nxt), i + 1
         if lex.grade_marker and value.grade is not None:
@@ -340,10 +341,10 @@ def _read_word(
 
     if informal:
         # Bare roman numeral (digits are never upper case) followed by a bare grade letter.
-        if lex.stage is not None and tok.text.isupper() and nxt and nxt.text in ("A", "B", "C"):
+        if lex.stage is not None and tok[0].isupper() and nxt and nxt[0] in ("A", "B", "C"):
             return _token_span(Dimension.STAGE, lex.stage, tok), i
         # Bare grade letter trailing a stage value token.
-        if tok.text in ("A", "B", "C") and after_stage:
+        if after_stage and tok[0] in ("A", "B", "C"):
             return _token_span(Dimension.GRADE, lex.grade, tok), i
 
     if lex.extent is not None:
@@ -351,41 +352,10 @@ def _read_word(
     return None, i
 
 
-def _build_statements(
-    text: str, words: list[Token], informal: bool, hedged: bool, sentence_text: str
-) -> list[Statement]:
-    """Group a region's elements into statements in one left-to-right pass.
-
-    A statement holds at most one element per dimension; a repeated dimension
-    opens the next one. An extent waits for the next word outside
-    `_HEAD_SKIP_WORDS`: it joins the statement of the status, stage or grade
-    element that starts there, and is dropped if none does.
-    """
-    groups: list[list[EntitySpan]] = []
-    extent = span = None
-    i = 0
-    while i < len(words):
-        after_stage = span is not None and span.dimension is Dimension.STAGE
-        span, last = _read_word(text, words, i, informal, sentence_text, after_stage)
-        if span is not None and span.dimension is not Dimension.EXTENT:
-            if not groups or any(s.dimension is span.dimension for s in groups[-1]):
-                groups.append([])
-            if extent is not None and span.dimension is not Dimension.SUBTYPE:
-                groups[-1].append(extent)
-            groups[-1].append(span)
-        if words[i].text.lower() not in _HEAD_SKIP_WORDS:
-            extent = span if span is not None and span.dimension is Dimension.EXTENT else None
-        i = last + 1
-    return [
-        Statement(tuple(spans), hedged=hedged, start=spans[0].start, end=spans[-1].end)
-        for spans in groups
-    ]
-
-
 def _initial_trigger(sentence_text: str) -> bool:
     """Does the sentence open with a diagnosis phrase? Reads only its first two words."""
     for m in islice(_WORD_RE.finditer(sentence_text), 2):
-        lex = _lex(m.group().lower())
+        lex = _lex(m.group())
         if lex.opens or _status(lex, sentence_text) is not None:
             return True
     return False
@@ -396,32 +366,100 @@ def _may_hold_anchor(sentence_text: str) -> bool:
     return ":" in sentence_text or "-" in sentence_text
 
 
+def _anchors(text: str, pos: int, end: int) -> list[re.Match]:
+    """The "D:"-style anchors whose word starts in `text[pos:end]`, within one sentence."""
+    # An anchor ends at a ":" or "-", so the search stops after the last one.
+    stop = max(text.rfind(":", pos, end), text.rfind("-", pos, end)) + 1
+    return [m for m in _ANCHOR_RE.finditer(text, pos, stop) if _lex(m.group(1)).anchor]
+
+
+def _grammar_spans(text: str, informal: bool) -> list[EntitySpan]:
+    """Every element and extent span the grammar reads, in text order, ungrouped.
+
+    It reads the words after each anchor up to the next anchor word, else a
+    sentence that opens with a diagnosis, looking each word up once.
+    """
+    spans: list[EntitySpan] = []
+    for sent in _SENTENCE_RE.finditer(text):
+        sentence_text = sent.group()
+        start, end = sent.span()
+        anchors = _anchors(text, start, end) if _may_hold_anchor(sentence_text) else ()
+        if anchors:
+            regions = zip([m.end() for m in anchors], [m.start() for m in anchors[1:]] + [end])
+        elif _initial_trigger(sentence_text):
+            regions = [(start, end)]
+        else:
+            continue
+        for pos, endpos in regions:
+            words = list(_WORD_RE.finditer(text, pos, endpos))
+            lexes = [_lex(word.group()) for word in words]
+            span, i = None, 0
+            while i < len(words):
+                after_stage = span is not None and span.dimension is Dimension.STAGE
+                span, last = _read_word(text, words, lexes, i, informal, sentence_text, after_stage)
+                if span is not None:
+                    spans.append(span)
+                i = last + 1
+    return spans
+
+
+def _heads(text: str, extent: EntitySpan, head: EntitySpan) -> bool:
+    """Does the extent head this span: only skip adjectives, then its own marker, in between?"""
+    gap = _WORD_RE.findall(text, extent.end, head.start)
+    marker = {Dimension.STAGE: "stage_marker", Dimension.GRADE: "grade_marker"}.get(head.dimension)
+    if gap and marker and getattr(_lex(gap[-1]), marker):
+        gap.pop()
+    return head.dimension is not Dimension.SUBTYPE and {w.lower() for w in gap} <= _HEAD_SKIP_WORDS
+
+
+def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
+    """Group a note's spans, from the grammar or any tagger, into statements.
+
+    The regions are the sentences (with the punctuation after them) split at
+    their anchors, the text before a first anchor included. Inside one, in
+    text order, a status, stage, grade or subtype whose dimension the current
+    statement holds opens the next. An extent joins the status, stage or
+    grade span after it if only `_HEAD_SKIP_WORDS`, then that span's own
+    marker, lie between; else it is dropped. A statement is hedged if its
+    sentence holds a hedge cue.
+    """
+    spans = sorted(spans, key=attrgetter("start"))
+    starts = [span.start for span in spans]
+    statements: list[Statement] = []
+    i = 0
+    for passage in _PASSAGE_RE.finditer(text):
+        if i == len(spans):
+            break
+        end = passage.end()
+        if starts[i] >= end:
+            continue
+        hedged = _HEDGE_RE.search(passage.group().lower()) is not None  # once per sentence
+        # Only an anchor after the sentence's first span can split its spans.
+        for bound in [*(m.start() for m in _anchors(text, starts[i] + 1, end)), end]:
+            j = bisect_left(starts, bound, i)
+            groups, extent = [], None
+            for span in spans[i:j]:
+                if span.dimension is Dimension.EXTENT:
+                    extent = span
+                    continue
+                if not groups or any(s.dimension is span.dimension for s in groups[-1]):
+                    groups.append([])
+                if extent is not None and _heads(text, extent, span):
+                    groups[-1].append(extent)
+                groups[-1].append(span)
+                extent = None
+            statements += (
+                Statement(tuple(g), hedged=hedged, start=g[0].start, end=g[-1].end) for g in groups
+            )
+            i = j
+    return statements
+
+
 def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     """Extract diagnosis statements with their spans and hedge flags."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    informal = mode == "informal"
-    statements: list[Statement] = []
-    for sent in _SENTENCE_RE.finditer(text):
-        sentence_text = sent.group()
-        start, end = sent.span()
-        # An anchor ends at a ":" or "-", so the search stops after the last one.
-        stop = start + max(sentence_text.rfind(":"), sentence_text.rfind("-")) + 1
-        found = _ANCHOR_RE.finditer(text, start, stop) if _may_hold_anchor(sentence_text) else ()
-        anchors = [m for m in found if _lex(m.group(1).lower()).anchor]
-        if anchors:  # a region: the words after one anchor, up to the next anchor word
-            ends = [m.start() for m in anchors[1:]] + [end]
-            regions = [_words(text, m.end(), e) for m, e in zip(anchors, ends)]
-        elif _initial_trigger(sentence_text):
-            regions = [_words(text, start, end)]
-        else:
-            continue
-        hedged = _HEDGE_RE.search(sentence_text.lower()) is not None
-        for region in regions:
-            statements.extend(
-                _build_statements(text, region, informal, hedged, sentence_text)
-            )
-    return statements
+    return group_statements(text, _grammar_spans(text, mode == "informal"))
 
 
 def extract_entities(text: str, mode: str = "strict") -> list[EntitySpan]:

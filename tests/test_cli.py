@@ -13,8 +13,18 @@ from perioparse.corpus import (
     write_corpus,
 )
 from perioparse.demo import demo_seed_notes
-from perioparse.model import Dimension, PeriodontalStatus
+from perioparse.extraction import MODES, extract_entities
+from perioparse.model import (
+    DiagnosisRecord,
+    Dimension,
+    EntitySpan,
+    Extent,
+    Grade,
+    PeriodontalStatus,
+    Stage,
+)
 from perioparse.normalization import GuidelineVersion
+from perioparse.synthesis import PERTURBATION_RATES
 
 
 @pytest.fixture
@@ -498,33 +508,97 @@ def test_extract_informal_vs_strict_on_informal_fixture(tmp_path):
     assert read_corpus(informal_out)[0].record is not None
 
 
+def make_perturbed_corpus(tmp_path, template_file, variants):
+    config = tmp_path / "perturb.cfg"
+    config.write_text("".join(f"{key} = 0.15\n" for key in PERTURBATION_RATES), encoding="utf-8")
+    out = tmp_path / "perturbed.jsonl"
+    run("synth", "--offline", "--templates", template_file, "--config", config, "--seed", 7,
+        "--variants", variants, "--out", out)
+    return out
+
+
+def write_predictions(path, spans_by_id):
+    """A prediction file: one line of `note_id` + `spans` per (id, spans) pair."""
+    rows = [
+        {
+            "note_id": note_id,
+            "spans": [
+                {"dimension": s.dimension.value, "value": s.value.value, "start": s.start,
+                 "end": s.end}
+                for s in spans
+            ],
+        }
+        for note_id, spans in spans_by_id
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+
 def test_extract_external_predictions(tmp_path, template_file):
-    corpus = make_clean_corpus(tmp_path, template_file, variants=1)
-    builtin_out = tmp_path / "builtin.jsonl"
-    run("extract", corpus, builtin_out)
-    preds_file = tmp_path / "model.jsonl"
-    rows = []
-    for n in read_corpus(builtin_out):
-        rows.append(
-            {
-                "note_id": n.note.note_id,
-                "spans": [
-                    {
-                        "dimension": s.dimension.value,
-                        "value": s.value.value,
-                        "start": s.start,
-                        "end": s.end,
-                    }
-                    for s in n.spans
-                ],
-            }
-        )
-    preds_file.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    out = tmp_path / "external.jsonl"
-    assert run("extract", corpus, out, "--extractor", f"predictions={preds_file}") == 0
-    external = read_corpus(out)
-    builtin = read_corpus(builtin_out)
-    assert [n.record for n in external] == [n.record for n in builtin]
+    # The grammar's own spans, read back as predictions, give the grammar's
+    # records: on the clean corpus, and on a perturbed one whose notes may
+    # render several diagnoses in one sentence.
+    corpora = [
+        make_clean_corpus(tmp_path, template_file, variants=1),
+        make_perturbed_corpus(tmp_path, template_file, variants=10),
+    ]
+    for corpus in corpora:
+        for mode in MODES:
+            builtin_out = tmp_path / "builtin.jsonl"
+            run("extract", corpus, builtin_out, "--mode", mode)
+            preds_file = tmp_path / "model.jsonl"
+            spans_by_id = [(n.note.note_id, n.spans) for n in read_corpus(builtin_out)]
+            write_predictions(preds_file, spans_by_id)
+            out = tmp_path / "external.jsonl"
+            assert run("extract", corpus, out, "--extractor", f"predictions={preds_file}") == 0
+            external = read_corpus(out)
+            builtin = read_corpus(builtin_out)
+            assert [n.record for n in external] == [n.record for n in builtin], (corpus, mode)
+
+
+P, G = PeriodontalStatus.PERIODONTITIS, PeriodontalStatus.GINGIVITIS
+
+
+@pytest.mark.parametrize(
+    "text, extra_extent, record",
+    [
+        (
+            "D- Localized Periodontitis Stage I Grade A and Generalized Gingivitis",
+            None,
+            DiagnosisRecord(P, Stage.I, Grade.A, Extent.LOCALIZED),
+        ),
+        (
+            "Dx: Gingivitis. Localized recession noted. D: Stage III",
+            None,
+            DiagnosisRecord(P, Stage.III),
+        ),
+        ("D: Gingivitis with Generalized Recession.", "Generalized", DiagnosisRecord(G)),
+    ],
+    ids=["extent-of-the-other-diagnosis", "stage-in-a-later-sentence", "extent-without-head"],
+)
+def test_predicted_spans_are_grouped_like_the_grammars(
+    tmp_path, capsys, text, extra_extent, record
+):
+    corpus = tmp_path / "notes.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", text))], corpus)
+    spans = extract_entities(text, "strict")
+    if extra_extent:  # an extent the grammar drops, as a tagger might predict it
+        start = text.index(extra_extent)
+        end = start + len(extra_extent)
+        spans.append(EntitySpan(Dimension.EXTENT, Extent(extra_extent), start, end, extra_extent))
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, [("n-1", spans)])
+    builtin_out, out = tmp_path / "builtin.jsonl", tmp_path / "out.jsonl"
+    assert run("extract", corpus, builtin_out) == 0
+    assert run("extract", corpus, out, "--extractor", f"predictions={preds}") == 0
+    (builtin,), (external,) = read_corpus(builtin_out), read_corpus(out)
+    assert builtin.record == external.record == record
+    assert list(external.spans) == spans  # every predicted span is written, grouped or not
+    # `--mode` applies to the grammar only, so the predictions line names the span source
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [
+        "extracted 1 notes (strict mode)",
+        f"extracted 1 notes (predictions={preds})",
+    ]
 
 
 def test_evaluate_self_is_perfect(tmp_path, template_file, capsys):

@@ -22,6 +22,7 @@ from perioparse.extraction import (
     diagnose,
     extract_entities,
     extract_statements,
+    group_statements,
     reconstruct,
     tokenize,
     within_one_edit,
@@ -192,10 +193,14 @@ _E, _ST, _SG, _GR, _SUB = (
         ("D: Generalized, Periodontitis", [[(_E, "Generalized"), (_ST, "Periodontitis")]]),
         ("D: Generalized Recession", []),
         ("D: Periodontitis B", [[(_ST, "Periodontitis")]]),
+        ("D: Generalized mild Grade B", [[(_E, "Generalized"), (_GR, "B")]]),
+        ("D: Generalized Grade Periodontitis", [[(_ST, "Periodontitis")]]),
+        ("D: Generalized Stage Grade B", [[(_GR, "B")]]),
     ],
     ids=[
         "skips-adjective", "next-word-only", "subtype-is-no-head", "joins-second-statement",
         "region-ends-extent", "skips-punctuation", "unrelated-noun", "bare-letter-needs-stage",
+        "skips-own-marker", "other-marker-is-no-gap", "one-marker-only",
     ],
 )
 def test_statement_grouping_and_extent_heads(text, statements, mode):
@@ -383,6 +388,14 @@ def test_hostile_long_inputs_stay_linear():
     # An anchor search retried from every letter of a long word is quadratic.
     for text in ("D: " + "a" * 20000 + " x", "a" * 20000 + ":", "D: " * 10000):
         cases += [(lambda t=text, m=mode: extract_statements(t, m), 0) for mode in MODES]
+    # Grouping alone, on the spans of one long sentence and of one sentence with many anchors.
+    for text, mode, expected in [
+        ("Stage III B " * 12000, "informal", 12000),
+        ("D: " * 10000, "strict", 0),
+        ("D: Periodontitis " * 10000, "strict", 10000),
+    ]:
+        spans = extract_entities(text, mode)[::-1]
+        cases.append((lambda t=text, s=spans: group_statements(t, s), expected))
     for run, expected in cases:
         start = time.monotonic()
         result = run()
@@ -470,6 +483,7 @@ def uncached_lex(token):
 )
 def test_memoized_lex_equals_uncached_definition(token):
     assert extraction._lex(token)._asdict() == uncached_lex(token), token
+    assert extraction._lex(token.upper()) == extraction._lex(token)  # keyed as written
 
 
 _TEXT_PIECES = [
@@ -515,6 +529,33 @@ def test_statement_order_is_text_order(pieces, mode):
     spans = extract_entities(text, mode)
     assert spans == list(diagnose(text, mode)[0])
     assert [s.start for s in spans] == sorted(s.start for s in spans)
+
+
+_GROUPING_PIECES = [
+    *GRAMMAR_WORDS, *sorted(extraction._HEAD_SKIP_WORDS), "Stage", "Grade", "Stge", "Recession",
+    "I", "II", "III", "IV", "1", "3", "A", "B", "C", "D:", "Dx:", "D-", "possible",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(st.sampled_from(_GROUPING_PIECES), st.sampled_from([" ", ". ", ", ", "\n"])),
+        max_size=30,
+    ),
+    mode=st.sampled_from(MODES),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_grouping_the_grammars_spans_gives_its_statements(pieces, mode, rnd):
+    # What `predictions=` relies on: the spans the grammar writes out, in any
+    # order, group into the grammar's statements. So do all the spans it reads,
+    # extents it drops included.
+    text = "".join(piece + sep for piece, sep in pieces)
+    statements = extract_statements(text, mode)
+    read = extraction._grammar_spans(text, mode == "informal")
+    for spans in (extract_entities(text, mode), read):
+        rnd.shuffle(spans)
+        assert group_statements(text, spans) == statements
 
 
 def test_word_memo_stays_bounded_on_many_distinct_words():
