@@ -369,12 +369,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        CorpusFormatError,
-        TemplateSelectionError,
-        GenerationError,
-        FileNotFoundError,
-    ) as exc:
+    except (CorpusFormatError, TemplateSelectionError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

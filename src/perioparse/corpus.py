@@ -274,6 +274,7 @@ def first_repeated_id(ids):
 
 
 def write_corpus(notes, path) -> None:
+    notes = list(notes)  # read twice: a generator would write an empty file
     dup = first_repeated_id(n.note.note_id for n in notes)
     if dup is not None:
         raise CorpusFormatError(f"duplicate note_id {dup!r} in corpus")

@@ -18,18 +18,18 @@ phrases. Entity words of four or more letters tolerate a single-character
 typo. What a word means is read from one lexicon record per distinct
 token (`_lex`), built once from the `_LEXICON` tables.
 
-The grammar reads each region in one pass and emits every span it finds;
-`group_statements`, the one grouping rule, then makes statements of them, as
-it does of an external tagger's spans. An extent survives grouping only if
-the next span, past skip adjectives ("chronic", "mild", ...) and its own
-"Stage"/"Grade" marker, is a status, stage or grade ("Generalized Recession"
-and the "Localized" of "Localized Generalized Periodontitis" do not).
+The grammar reads each sentence once, from its first anchor or whole, and
+emits every span it finds; `group_statements`, the one grouping rule and the
+only code that splits at anchors, makes statements of them as of a tagger's
+spans. An extent survives grouping only if the next span, past skip
+adjectives ("chronic", "mild", ...) and its own "Stage"/"Grade" marker, is a
+status, stage or grade ("Generalized Recession" and the "Localized" of
+"Localized Generalized Periodontitis" do not).
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_left
 from collections.abc import Iterable
 from functools import lru_cache
@@ -119,8 +119,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
 # The lookbehind tries each word only from its start, which keeps the search
 # linear in the length of a word.
 _ANCHOR_RE = re.compile(r"(?<![^\W_])([^\W_]+)\s*[:-]")
-_SENTENCE_RE = re.compile(r"[^.!?\n]+")
-_PASSAGE_RE = re.compile(r"[^.!?\n]*[.!?\n]*")  # a sentence and its end marks: covers every offset
+# A sentence and its end marks; the passages cover every offset and none is empty.
+_PASSAGE_RE = re.compile(r"(?!\Z)[^.!?\n]*[.!?\n]*")
 
 
 class Token(NamedTuple):
@@ -131,15 +131,14 @@ class Token(NamedTuple):
     end: int
 
 
-def tokenize(text: str, pos: int = 0, endpos: int = sys.maxsize) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """The public reversible tokenizer: alphanumeric runs and single punctuation marks.
 
     Whitespace is never part of a token; it survives as the gaps between
-    offsets, which is what makes the tokenization reversible. As in
-    `re.Pattern.finditer`, `pos`/`endpos` bound the scan to `text[pos:endpos]`
-    while offsets stay absolute.
+    offsets, which is what makes the tokenization reversible. The grammar
+    itself reads only the word tokens (`_WORD_RE`).
     """
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text, pos, endpos)]
+    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def reconstruct(text: str, tokens: list[Token]) -> str:
@@ -361,45 +360,42 @@ def _initial_trigger(sentence_text: str) -> bool:
     return False
 
 
-def _may_hold_anchor(sentence_text: str) -> bool:
-    """An anchor needs a ":" or "-" after its word; only a sentence holding one is searched."""
-    return ":" in sentence_text or "-" in sentence_text
-
-
 def _anchors(text: str, pos: int, end: int) -> list[re.Match]:
     """The "D:"-style anchors whose word starts in `text[pos:end]`, within one sentence."""
-    # An anchor ends at a ":" or "-", so the search stops after the last one.
+    # An anchor ends at a ":" or "-", so the search stops after the last one;
+    # most sentences hold neither and cost no regex search at all.
     stop = max(text.rfind(":", pos, end), text.rfind("-", pos, end)) + 1
+    if not stop:
+        return []
     return [m for m in _ANCHOR_RE.finditer(text, pos, stop) if _lex(m.group(1)).anchor]
 
 
 def _grammar_spans(text: str, informal: bool) -> list[EntitySpan]:
     """Every element and extent span the grammar reads, in text order, ungrouped.
 
-    It reads the words after each anchor up to the next anchor word, else a
-    sentence that opens with a diagnosis, looking each word up once.
+    It reads a sentence from the end of its first anchor, else whole if it
+    opens with a diagnosis, looking each word up once. A later anchor's word
+    yields no span and no lookahead reads it as a value or connector; only
+    `group_statements` splits there.
     """
     spans: list[EntitySpan] = []
-    for sent in _SENTENCE_RE.finditer(text):
-        sentence_text = sent.group()
-        start, end = sent.span()
-        anchors = _anchors(text, start, end) if _may_hold_anchor(sentence_text) else ()
+    for passage in _PASSAGE_RE.finditer(text):
+        sentence_text = passage.group()
+        start, end = passage.span()
+        anchors = _anchors(text, start, end)
         if anchors:
-            regions = zip([m.end() for m in anchors], [m.start() for m in anchors[1:]] + [end])
-        elif _initial_trigger(sentence_text):
-            regions = [(start, end)]
-        else:
+            start = anchors[0].end()
+        elif not _initial_trigger(sentence_text):
             continue
-        for pos, endpos in regions:
-            words = list(_WORD_RE.finditer(text, pos, endpos))
-            lexes = [_lex(word.group()) for word in words]
-            span, i = None, 0
-            while i < len(words):
-                after_stage = span is not None and span.dimension is Dimension.STAGE
-                span, last = _read_word(text, words, lexes, i, informal, sentence_text, after_stage)
-                if span is not None:
-                    spans.append(span)
-                i = last + 1
+        words = list(_WORD_RE.finditer(text, start, end))
+        lexes = [_lex(word.group()) for word in words]
+        span, i = None, 0
+        while i < len(words):
+            after_stage = span is not None and span.dimension is Dimension.STAGE
+            span, last = _read_word(text, words, lexes, i, informal, sentence_text, after_stage)
+            if span is not None:
+                spans.append(span)
+            i = last + 1
     return spans
 
 

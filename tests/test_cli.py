@@ -690,6 +690,19 @@ def test_corpus_string_fields_must_be_json_strings(tmp_path, capsys, field, valu
     assert not out.exists()
 
 
+def test_extract_from_or_to_a_directory_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "in.jsonl"
+    write_corpus([AnnotatedNote(note=Note("n-1", "site1", "D: Stage II periodontitis"))], corpus)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run("extract", folder, tmp_path / "out.jsonl") == 1
+    assert run("extract", corpus, folder) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and str(folder) in line for line in err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder", "in.jsonl"]
+
+
 @pytest.mark.parametrize(
     "field, value, reason",
     [

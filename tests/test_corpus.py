@@ -98,6 +98,13 @@ def test_round_trip_preserves_text_byte_exactly(tmp_path_factory, text):
     assert read_corpus(path)[0].note.text == text
 
 
+def test_write_corpus_reads_its_notes_once(tmp_path):
+    notes = [make_note("n-1"), make_note("n-2", "D: Stage II.")]
+    path = tmp_path / "once.jsonl"
+    write_corpus(iter(notes), path)
+    assert read_corpus(path) == notes
+
+
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = json.dumps(

@@ -13,7 +13,6 @@ from perioparse import extraction
 from perioparse.corpus import AnnotatedNote, Note, PredictionFileError, load_external_predictions
 from perioparse.demo import demo_seed_templates
 from perioparse.extraction import (
-    _SENTENCE_RE,
     EXTENT_VOCAB,
     GRAMMAR_WORDS,
     MODES,
@@ -84,20 +83,6 @@ def test_tokenizer_round_trip_property(text):
     assert reconstruct(text, tokens) == text
     for tok in tokens:
         assert text[tok.start : tok.end] == tok.text
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    text=st.one_of(
-        st.text(max_size=200),
-        st.text(alphabet="Stage IIB_9é.!?\n\t-:", max_size=200),
-    )
-)
-def test_sentence_tokenize_matches_filtered_whole_note_tokens(text):
-    all_tokens = tokenize(text)
-    for sent in _SENTENCE_RE.finditer(text):
-        s, e = sent.start(), sent.end()
-        assert tokenize(text, s, e) == [t for t in all_tokens if s <= t.start and t.end <= e]
 
 
 def test_no_character_in_two_tokens():
@@ -196,11 +181,22 @@ _E, _ST, _SG, _GR, _SUB = (
         ("D: Generalized mild Grade B", [[(_E, "Generalized"), (_GR, "B")]]),
         ("D: Generalized Grade Periodontitis", [[(_ST, "Periodontitis")]]),
         ("D: Generalized Stage Grade B", [[(_GR, "B")]]),
+        # A later anchor in the sentence: read through, split by grouping.
+        ("D: Periodontitis Stage Dx: III Grade B", [[(_ST, "Periodontitis")], [(_GR, "B")]]),
+        ("D: Generalized Dx: Periodontitis", [[(_ST, "Periodontitis")]]),
+        ("D: reduced periodontium Dx: stable periodontitis", []),
+        ("D: Periodontitis III Diagnosys: B", [[(_ST, "Periodontitis")]]),
+        ("D: Generalized III Dx: B", []),
+        ("Dx: Stage II D- Grade C", [[(_SG, "II")], [(_GR, "C")]]),
+        ("Periodontitis Stage III D: Grade B", [[(_GR, "B")]]),
     ],
     ids=[
         "skips-adjective", "next-word-only", "subtype-is-no-head", "joins-second-statement",
         "region-ends-extent", "skips-punctuation", "unrelated-noun", "bare-letter-needs-stage",
         "skips-own-marker", "other-marker-is-no-gap", "one-marker-only",
+        "anchor-after-marker", "anchor-ends-extent", "anchor-ends-subtype",
+        "typo-anchor-after-numeral", "anchor-after-bare-numeral", "dash-anchor",
+        "text-before-first-anchor",
     ],
 )
 def test_statement_grouping_and_extent_heads(text, statements, mode):
@@ -501,16 +497,11 @@ _TEXT_PIECES = [
         st.tuples(st.sampled_from(_TEXT_PIECES), st.sampled_from(["", " ", "  ", ", "])),
         max_size=30,
     ),
-    mode=st.sampled_from(MODES),
 )
-def test_skipping_anchorless_sentences_changes_no_statement(pieces, mode):
+def test_grammar_words_are_the_tokenizers_word_tokens(pieces):
     text = "".join(piece + sep for piece, sep in pieces)
     word_tokens = [t.text for t in tokenize(text) if t.text[0].isalnum()]
     assert [m.group() for m in extraction._WORD_RE.finditer(text)] == word_tokens
-    statements = extract_statements(text, mode)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extraction, "_may_hold_anchor", lambda sentence_text: True)
-        assert extract_statements(text, mode) == statements
 
 
 @settings(max_examples=300, deadline=None)
@@ -533,7 +524,8 @@ def test_statement_order_is_text_order(pieces, mode):
 
 _GROUPING_PIECES = [
     *GRAMMAR_WORDS, *sorted(extraction._HEAD_SKIP_WORDS), "Stage", "Grade", "Stge", "Recession",
-    "I", "II", "III", "IV", "1", "3", "A", "B", "C", "D:", "Dx:", "D-", "possible",
+    "I", "II", "III", "IV", "1", "3", "A", "B", "C", "D:", "Dx:", "D-", "Dx -", "Diagnosis:",
+    "Diagnosys:", "possible",
 ]
 
 
