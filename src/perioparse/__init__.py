@@ -37,7 +37,6 @@ from .evaluation import (
 )
 from .extraction import (
     Token,
-    detect_status_rulebased,
     diagnose,
     extract_entities,
     extract_statements,

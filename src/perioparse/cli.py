@@ -313,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus from seed templates")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--templates", help="corpus file whose notes all carry records")
-    source.add_argument("--corpus", help="corpus to select seed templates from")
+    source.add_argument(
+        "--corpus",
+        help="corpus to select seed templates from, bucketed by the status the grammar reads",
+    )
     engine = p.add_mutually_exclusive_group(required=True)
     engine.add_argument("--online", action="store_true")
     engine.add_argument("--offline", action="store_true")

@@ -48,7 +48,6 @@ from .model import (
     Stage,
     Statement,
     Subtype,
-    join,
 )
 from .normalization import adjudicate, infer_status_context
 
@@ -211,44 +210,6 @@ def _status(lex: Lex, sentence_text: str) -> PeriodontalStatus | None:
     if lex.status is PeriodontalStatus.HEALTH and not _PERIO_CONTEXT.search(sentence_text):
         return None
     return lex.status
-
-
-def _word_before(low: str, end: int) -> str:
-    """The run of a-z letters before `end`, past any spaces and hyphens.
-
-    Scanning back from `end`, not the whole prefix, keeps a line linear: the
-    gaps skipped before successive matches are disjoint, and only a guard
-    word (a short run) lets the caller go on to the next match.
-    """
-    j = end
-    while j > 0 and low[j - 1] in " -":
-        j -= 1
-    k = j
-    while k > 0 and "a" <= low[k - 1] <= "z":
-        k -= 1
-    return low[k:j]
-
-
-def detect_status_rulebased(text: str) -> PeriodontalStatus | None:
-    """Keyword-based status detection used for seed-note bucketing.
-
-    Returns the most severe status whose keyword family appears. Health
-    words only count on lines with periodontal context, and "periodontitis"
-    preceded by stable/past/non is a subtype or negation, not a status.
-    """
-    found: PeriodontalStatus | None = None
-    for line in text.splitlines():
-        low = line.lower()
-        for m in re.finditer(r"periodontitis", low):
-            if _word_before(low, m.start()) in _QUALIFIERS:
-                continue
-            found = join(found, PeriodontalStatus.PERIODONTITIS)
-            break
-        if "gingivitis" in low:
-            found = join(found, PeriodontalStatus.GINGIVITIS)
-        if re.search(r"\bhealthy?\b", low) and _PERIO_CONTEXT.search(low):
-            found = join(found, PeriodontalStatus.HEALTH)
-    return found
 
 
 def _match_subtype(text: str, words: list[re.Match], lexes: list[Lex], i: int):

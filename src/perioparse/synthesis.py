@@ -24,7 +24,7 @@ from .corpus import (
     record_from_obj,
     record_to_obj,
 )
-from .extraction import GRAMMAR_WORDS, detect_status_rulebased, diagnose, within_one_edit
+from .extraction import GRAMMAR_WORDS, diagnose, within_one_edit
 from .model import (
     DIMENSIONS,
     FIELD_NAMES,
@@ -93,18 +93,23 @@ def check_variants(variants_per_template: int) -> None:
 def select_seed_templates(
     corpus: list[AnnotatedNote], per_category: int = 15, seed: int = 0
 ) -> list[SeedTemplate]:
-    """Sample seed templates per status category, bucketed by the keyword detector.
+    """Sample seed templates per status category, bucketed by the grammar's record.
 
-    Sampling is uniform without replacement within each category and
+    Each note is read once with `diagnose(text, "informal")`; a note the
+    grammar finds no diagnosis in is not a candidate. A template embeds the
+    note's own record when that has the grammar's status, else the grammar's
+    record. Sampling is uniform without replacement within each category and
     deterministic under the seed.
     """
     if per_category < 1:
         raise ValueError(f"per_category must be at least 1, got {per_category}")
-    pools: dict[PeriodontalStatus, list[AnnotatedNote]] = {s: [] for s in PeriodontalStatus}
+    pools: dict[PeriodontalStatus, list[SeedTemplate]] = {s: [] for s in PeriodontalStatus}
     for annotated in corpus:
-        detected = detect_status_rulebased(annotated.note.text)
-        if detected is not None:
-            pools[detected].append(annotated)
+        _, derived = diagnose(annotated.note.text, "informal")
+        if derived is not None:
+            own = annotated.record
+            record = own if own is not None and own.status is derived.status else derived
+            pools[derived.status].append(SeedTemplate(annotated.note, derived.status, record))
 
     rng = random.Random(seed)
     templates: list[SeedTemplate] = []
@@ -119,21 +124,8 @@ def select_seed_templates(
                 f"category {status.value}: need {per_category} notes, found {len(pool)} "
                 f"(short by {per_category - len(pool)})"
             )
-        for annotated in rng.sample(pool, per_category):
-            templates.append(
-                SeedTemplate(annotated.note, status, _template_record(annotated, status))
-            )
+        templates.extend(rng.sample(pool, per_category))
     return templates
-
-
-def _template_record(annotated: AnnotatedNote, status: PeriodontalStatus) -> DiagnosisRecord:
-    """Best available embedded record agreeing with the detected category."""
-    if annotated.record is not None and annotated.record.status is status:
-        return annotated.record
-    _, derived = diagnose(annotated.note.text, "informal")
-    if derived is not None and derived.status is status:
-        return derived
-    return DiagnosisRecord(status)
 
 
 def templates_from_corpus(corpus: list[AnnotatedNote]) -> list[SeedTemplate]:

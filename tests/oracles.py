@@ -8,7 +8,6 @@ plain loops, so a bug cannot hide on both sides of a comparison.
 from __future__ import annotations
 
 import random
-import re
 
 from perioparse.model import (
     DiagnosisRecord,
@@ -180,34 +179,3 @@ def expand_cells_to_pairs(classes, cells):
     for (gold, pred), n in cells.items():
         pairs.extend([(gold, pred)] * n)
     return pairs
-
-
-_STATUS_GUARDS = ("stable", "past", "non")
-_PERIO_CONTEXT = re.compile(r"periodont|gingiv", re.IGNORECASE)
-
-
-def _join_status(a, b):
-    return b if a is None or _SEVERITY.index(b.value) > _SEVERITY.index(a.value) else a
-
-
-def oracle_detect_status_rulebased(text: str) -> PeriodontalStatus | None:
-    """The original, quadratic keyword status detector.
-
-    Copied from the library as it was before the guard-word lookup became a
-    backward scan; only `join` is replaced by a literal severity comparison.
-    """
-    found: PeriodontalStatus | None = None
-    for line in text.splitlines():
-        low = line.lower()
-        for m in re.finditer(r"periodontitis", low):
-            before = low[: m.start()].rstrip(" -")
-            prev = re.search(r"([a-z]+)$", before)
-            if prev and prev.group(1) in _STATUS_GUARDS:
-                continue
-            found = _join_status(found, PeriodontalStatus.PERIODONTITIS)
-            break
-        if "gingivitis" in low:
-            found = _join_status(found, PeriodontalStatus.GINGIVITIS)
-        if re.search(r"\bhealthy?\b", low) and _PERIO_CONTEXT.search(low):
-            found = _join_status(found, PeriodontalStatus.HEALTH)
-    return found

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
-from perioparse.corpus import AnnotationSource, Provenance, note_to_obj
+from perioparse.corpus import AnnotatedNote, AnnotationSource, Note, Provenance, note_to_obj
 from perioparse.demo import demo_seed_notes, demo_seed_templates
-from perioparse.extraction import extract_statements
+from perioparse.extraction import diagnose, extract_statements
 from perioparse.model import (
     DiagnosisRecord,
     Dimension,
@@ -69,6 +70,77 @@ def test_select_deterministic_under_seed():
     c = select_seed_templates(corpus, per_category=10, seed=8)
     assert [t.note.note_id for t in a] == [t.note.note_id for t in b]
     assert [t.note.note_id for t in a] != [t.note.note_id for t in c]
+
+
+def test_select_from_demo_notes_matches_gold_status_buckets():
+    corpus = demo_seed_notes(per_category=20)
+    rng = random.Random(3)
+    by_gold = [
+        n for s in (P, G, H) for n in rng.sample([n for n in corpus if n.record.status is s], 15)
+    ]
+    templates = select_seed_templates(corpus, per_category=15, seed=3)
+    assert [(t.note, t.status_category, t.embedded_record) for t in templates] == [
+        (n.note, n.record.status, n.record) for n in by_gold
+    ]
+    records = {n.note.note_id: n.record for n in corpus}
+    for t in templates:
+        own = records[t.note.note_id]
+        assert t.embedded_record in (own, diagnose(t.note.text, "informal")[1])
+
+
+def _select_with_fillers(note: AnnotatedNote, fill: tuple) -> list:
+    """Select one template per category from `note` plus one demo note of each status in `fill`."""
+    fillers = [n for n in demo_seed_notes(1) if n.record.status in fill]
+    return select_seed_templates([note, *fillers], per_category=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # No status word: a stage and grade make it Periodontitis.
+        ("D: Localized I A.", DiagnosisRecord(P, Stage.I, Grade.A, Extent.LOCALIZED)),
+        # Two statements: the most severe wins.
+        ("D: Stage 1 A. Dx: Localized Gingivitis.", DiagnosisRecord(P, Stage.I, Grade.A)),
+        # A typo'd subtype qualifier, not a Periodontitis status.
+        (
+            "D: Gingival health on a reduced periodontium with stabe periodontitis.",
+            DiagnosisRecord(H, subtype=Subtype.REDUCED_PERIODONTIUM_STABLE_PERIODONTITIS),
+        ),
+    ],
+)
+def test_select_buckets_a_record_less_note_by_the_grammar(text, expected):
+    note = AnnotatedNote(Note("hand", "site1", text))
+    templates = _select_with_fillers(note, tuple(s for s in (P, G, H) if s is not expected.status))
+    (template,) = [t for t in templates if t.note.note_id == "hand"]
+    assert template.status_category is expected.status
+    assert template.embedded_record == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Patient in good general health.",
+        # No anchor, and the sentence does not open with a diagnosis phrase.
+        "Patient reports a history of periodontitis in 2015 with good home care.",
+    ],
+)
+def test_select_skips_a_note_without_a_diagnosis(text):
+    note = AnnotatedNote(Note("hand", "site1", text))
+    for status in (P, G, H):
+        others = tuple(s for s in (P, G, H) if s is not status)
+        with pytest.raises(TemplateSelectionError, match=f"{status.value}: need 1 notes, found 0"):
+            _select_with_fillers(note, others)
+
+
+def test_select_keeps_the_notes_own_record_only_when_its_status_agrees():
+    text = "D: Stage 1 A. Dx: Localized Gingivitis."
+    own = DiagnosisRecord(P, Stage.I, Grade.A, Extent.GENERALIZED)
+    agreeing = AnnotatedNote(Note("hand", "site1", text), record=own)
+    assert _select_with_fillers(agreeing, (G, H))[0].embedded_record == own
+    disagreeing = agreeing.with_(record=DiagnosisRecord(G, extent=Extent.LOCALIZED))
+    assert _select_with_fillers(disagreeing, (G, H))[0].embedded_record == DiagnosisRecord(
+        P, Stage.I, Grade.A
+    )
 
 
 def test_seed_template_invariant():
