@@ -27,7 +27,7 @@ from .corpus import (
     write_manifest,
 )
 from .evaluation import evaluate_corpus, learning_curve, notes_by_site
-from .extraction import diagnose, group_statements
+from .extraction import MODES, diagnose, group_statements
 from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
 from .model import Dimension
 from .normalization import adjudicate, classify_guideline_version, infer_status_context
@@ -78,7 +78,7 @@ def read_config(path) -> dict:
     seen: dict[str, int] = {}  # key -> line it was set on
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -131,6 +131,8 @@ def _cmd_cohort(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.seed is None and (args.corpus or args.offline):
+        raise UsageError("--seed is required with --corpus and with --offline")
     config = read_config(args.config) if args.config else {}
     sections = DEFAULT_PROMPT_SECTIONS
     if config.get("prompt_file"):
@@ -145,8 +147,6 @@ def _cmd_synth(args) -> int:
     if args.templates:
         templates = templates_from_corpus(read_corpus(args.templates))
     else:
-        if args.seed is None:
-            raise UsageError("--seed is required when selecting templates from a corpus")
         if args.per_category < 1:
             raise UsageError(f"--per-category must be at least 1, got {args.per_category}")
         templates = select_seed_templates(
@@ -162,8 +162,6 @@ def _cmd_synth(args) -> int:
         raise UsageError(str(exc)) from exc
 
     if args.offline:
-        if args.seed is None:
-            raise UsageError("--seed is required for offline generation")
         try:
             rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
             perturb = PerturbationSpec(rng_seed=args.seed, **rates)
@@ -217,13 +215,13 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.extractor != "builtin" and not args.extractor.startswith("predictions="):
+        raise UsageError(
+            f"--extractor must be 'builtin' or 'predictions=<path>', got {args.extractor!r}"
+        )
     notes = read_corpus(args.corpus_in)
     predictions = None
     if args.extractor != "builtin":
-        if not args.extractor.startswith("predictions="):
-            raise UsageError(
-                f"--extractor must be 'builtin' or 'predictions=<path>', got {args.extractor!r}"
-            )
         predictions = load_external_predictions(args.extractor.split("=", 1)[1], notes)
 
     extracted = []
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="annotate a corpus with predicted diagnoses")
     p.add_argument("corpus_in")
     p.add_argument("out")
-    p.add_argument("--mode", choices=["strict", "informal"], default="strict")
+    p.add_argument("--mode", choices=MODES, default="strict")
     p.add_argument("--extractor", default="builtin")
     p.set_defaults(func=_cmd_extract)
 

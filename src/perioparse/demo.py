@@ -18,7 +18,7 @@ from .model import (
     Dimension,
     PeriodontalStatus,
 )
-from .synthesis import CLEAN, SeedTemplate, compose_note
+from .synthesis import CLEAN, SeedTemplate, compose_note, templates_from_corpus
 
 
 def _demo_record(status: PeriodontalStatus, i: int) -> DiagnosisRecord:
@@ -58,7 +58,4 @@ def demo_seed_notes(per_category: int = 15, site_id: str = "site1") -> list[Anno
 
 def demo_seed_templates(per_category: int = 15, site_id: str = "site1") -> list[SeedTemplate]:
     """Ready-made seed templates covering all stages, grades, extents, subtypes."""
-    return [
-        SeedTemplate(n.note, n.record.status, n.record)
-        for n in demo_seed_notes(per_category, site_id)
-    ]
+    return templates_from_corpus(demo_seed_notes(per_category, site_id))

@@ -37,7 +37,6 @@ from .model import (
     Subtype,
     is_valid_record,
 )
-from .normalization import adjudicate
 
 
 class TemplateSelectionError(ValueError):
@@ -400,7 +399,8 @@ def _inject_typo(atoms: list[_Atom], rng: random.Random) -> None:
 
 
 def _secondary_record(primary: DiagnosisRecord, rng: random.Random) -> DiagnosisRecord:
-    """A strictly weaker (or duplicate, for health) co-occurring diagnosis."""
+    """A strictly weaker (or duplicate, for health) co-occurring diagnosis: adjudication
+    of the pair gives the primary back, so the primary stays the note's gold."""
     if primary.status is PeriodontalStatus.PERIODONTITIS:
         return DiagnosisRecord(
             PeriodontalStatus.GINGIVITIS,
@@ -421,7 +421,7 @@ def compose_note(
     site_id: str = "site1",
     provenance: Provenance = Provenance.OFFLINE_GENERATED,
 ) -> AnnotatedNote:
-    """Render one synthetic note with ground-truth spans for the given record."""
+    """Render one synthetic note with ground-truth spans; the given record is its gold."""
     assert is_valid_record(record), "compose_note requires a valid record"
     intro = rng.sample(_INTRO_POOL, rng.randint(1, 2))
     outro = rng.sample(_OUTRO_POOL, rng.randint(0, 2))
@@ -450,19 +450,15 @@ def compose_note(
     if rng.random() < perturb.typo_rate:
         _inject_typo(atoms, rng)
 
-    candidates = [record]
     if rng.random() < perturb.multi_diagnosis_rate:
-        secondary = _secondary_record(record, rng)
-        candidates.append(secondary)
-        atoms += _diagnosis_atoms(secondary, "Dx:", None, False, rng)
+        atoms += _diagnosis_atoms(_secondary_record(record, rng), "Dx:", None, False, rng)
 
     text, spans = _render([*map(_Atom, intro), *atoms, *map(_Atom, outro)])
-    gold = adjudicate(candidates)
     note = Note(note_id=note_id, site_id=site_id, text=text, provenance=provenance)
     return AnnotatedNote(
         note=note,
         spans=spans,
-        record=gold,
+        record=record,
         annotation_source=AnnotationSource.EMBEDDED,
     )
 
@@ -512,15 +508,15 @@ class QAVerdict:
     extracted: DiagnosisRecord | None = None  # the extractor's record: the fix to apply
 
 
-def validate_labels(annotated: AnnotatedNote, mode: str = "informal") -> QAVerdict:
-    """Cross-check a note's embedded record against the grammar extractor.
+def validate_labels(annotated: AnnotatedNote) -> QAVerdict:
+    """Cross-check a note's embedded record against the informal-mode grammar extractor.
 
     Dimensions the text does not support are proposed as blank; dimensions
     the text contradicts are proposed with the extractor's reading.
     """
     if annotated.annotation_source is not AnnotationSource.EMBEDDED:
         raise ValueError("validate_labels applies to embedded-annotation notes")
-    _, extracted = diagnose(annotated.note.text, mode)
+    _, extracted = diagnose(annotated.note.text, "informal")
     discrepancies = []
     for dim in DIMENSIONS:
         embedded_value = annotated.record.value_for(dim) if annotated.record else None

@@ -13,6 +13,7 @@ from perioparse.corpus import (
     write_corpus,
 )
 from perioparse.demo import demo_seed_notes
+from perioparse.evaluation import learning_curve, notes_by_site
 from perioparse.extraction import MODES, extract_entities
 from perioparse.model import (
     DiagnosisRecord,
@@ -24,6 +25,7 @@ from perioparse.model import (
     Stage,
 )
 from perioparse.normalization import GuidelineVersion
+from perioparse.reporting import json_text, learning_curve_to_obj
 from perioparse.synthesis import PERTURBATION_RATES
 
 
@@ -179,6 +181,32 @@ def test_synth_requires_seed_for_offline(tmp_path, template_file):
     assert run(
         "synth", "--offline", "--templates", template_file, "--out", tmp_path / "x.jsonl"
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "source, engine",
+    [("--templates", "--offline"), ("--corpus", "--offline"), ("--corpus", "--online")],
+)
+def test_synth_checks_seed_before_reading_any_file(tmp_path, capsys, source, engine):
+    missing = tmp_path / "missing.jsonl"
+    out = tmp_path / "x.jsonl"
+    assert run("synth", engine, source, missing, "--config", missing, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: --seed is required with --corpus and with --offline"
+    ]
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, template_file, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"# caf\xe9\ntypo_rate = 0.1\n")
+    out = tmp_path / "x.jsonl"
+    code = run("synth", "--offline", "--templates", template_file, "--config", config,
+               "--seed", 7, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: cannot read config file {config}")
+    assert not out.exists()
 
 
 def test_synth_online_requires_endpoint_config(tmp_path, template_file):
@@ -495,6 +523,15 @@ def test_extract_builtin_reproduces_embedded(tmp_path, template_file):
     assert all(n.guideline_version is GuidelineVersion.CURRENT_2018 for n in perio)
 
 
+def test_extract_checks_the_extractor_before_reading_the_corpus(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert run("extract", tmp_path / "missing.jsonl", out, "--extractor", "bogus") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: --extractor must be 'builtin' or 'predictions=<path>', got 'bogus'"
+    ]
+    assert not out.exists()
+
+
 def test_extract_informal_vs_strict_on_informal_fixture(tmp_path):
     corpus = tmp_path / "informal.jsonl"
     write_corpus(
@@ -632,6 +669,27 @@ def test_evaluate_curve_30_step_points(tmp_path, template_file):
     curve = curves["site1"]
     assert [p["size"] for p in curve["points"]] == list(range(30, 451, 30))
     assert (out_dir / "report.json").exists()
+
+
+def test_evaluate_curve_dimension_and_seed(tmp_path, template_file):
+    # Strict mode misreads some perturbed notes' stages, so the Stage curve
+    # depends on the shuffle seed.
+    corpus = make_perturbed_corpus(tmp_path, template_file, variants=4)  # 180 notes
+    pred = tmp_path / "pred.jsonl"
+    assert run("extract", corpus, pred, "--mode", "strict") == 0
+    out_dir = tmp_path / "eval"
+    assert run("evaluate", corpus, pred, out_dir, "--curve", "--dimension", "Stage",
+               "--curve-seed", 3) == 0
+    preds = {n.note.note_id: n.record for n in read_corpus(pred)}
+    expected = {
+        site: learning_curve_to_obj(
+            learning_curve(site_notes, preds, step=30, seed=3, dimension=Dimension.STAGE)
+        )
+        for site, site_notes in notes_by_site(read_corpus(corpus)).items()
+    }
+    curves = json.loads((out_dir / "learning_curve.json").read_text())
+    assert curves == json.loads(json_text(expected))
+    assert curves["site1"]["dimension"] == "Stage"
 
 
 def test_full_pipeline_evaluate_report_csv(tmp_path, template_file):

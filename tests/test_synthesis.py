@@ -7,6 +7,7 @@ from perioparse.corpus import AnnotatedNote, AnnotationSource, Note, Provenance,
 from perioparse.demo import demo_seed_notes, demo_seed_templates
 from perioparse.extraction import diagnose, extract_statements
 from perioparse.model import (
+    LEGAL_RECORDS,
     DiagnosisRecord,
     Dimension,
     Extent,
@@ -22,6 +23,7 @@ from perioparse.synthesis import (
     PerturbationSpec,
     SeedTemplate,
     TemplateSelectionError,
+    _secondary_record,
     build_prompt,
     generate_offline,
     parse_label_trailer,
@@ -291,6 +293,19 @@ def test_multi_diagnosis_rate_one_gives_two_candidates():
         statements = extract_statements(note.note.text, "informal")
         candidates = infer_status_context(statements)
         assert len(candidates) == 2, note.note.text
+
+
+def test_a_secondary_diagnosis_leaves_the_gold_record_alone():
+    # compose_note keeps the record it renders as gold even when it adds a
+    # secondary "Dx:" sentence, because adjudication always picks the primary.
+    for record in LEGAL_RECORDS:
+        for seed in range(50):
+            assert adjudicate([record, _secondary_record(record, random.Random(seed))]) == record
+    templates = demo_seed_templates(5)
+    spec = PerturbationSpec(multi_diagnosis_rate=1.0, rng_seed=29)
+    notes = generate_offline(templates, 3, spec)
+    assert all("Dx:" in n.note.text for n in notes)
+    assert [n.record for n in notes] == [t.embedded_record for t in templates for _ in range(3)]
 
 
 def test_distractor_rate_one_adds_unattached_extent():
