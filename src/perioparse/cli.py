@@ -3,12 +3,18 @@
 Subcommands compose through files only. Every randomized step takes an
 explicit seed so results replay exactly. Exit codes: 0 success, 1 data or
 validation failure, 2 usage or configuration error.
+
+Each subcommand checks all its flags and config values before it opens any
+input file, so a refused one exits 2 having read and written nothing. The one
+exception: `synth --online` checks the endpoint URL's form and the API key
+variable when it starts generating, after the templates are read.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import typing
@@ -131,54 +137,49 @@ def _cmd_cohort(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.seed is None and (args.corpus or args.offline):
-        raise UsageError("--seed is required with --corpus and with --offline")
-    config = read_config(args.config) if args.config else {}
-    sections = DEFAULT_PROMPT_SECTIONS
-    if config.get("prompt_file"):
-        path = config["prompt_file"]
-        try:
-            sections = read_prompt_sections(path)
-        except OSError as exc:
-            raise UsageError(f"{path}: cannot read prompt file: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    if args.templates:
-        templates = templates_from_corpus(read_corpus(args.templates))
-    else:
-        if args.per_category < 1:
-            raise UsageError(f"--per-category must be at least 1, got {args.per_category}")
-        templates = select_seed_templates(
-            read_corpus(args.corpus), per_category=args.per_category, seed=args.seed
-        )
-
     try:
+        if args.seed is None and (args.corpus or args.offline):
+            raise UsageError("--seed is required with --corpus and with --offline")
+        if args.seed is not None and args.online and args.templates:
+            raise UsageError("--seed does nothing with --online --templates")
+        if args.per_category is not None:
+            if not args.corpus:
+                raise UsageError("--per-category works only with --corpus")
+            if args.per_category < 1:
+                raise UsageError(f"--per-category must be at least 1, got {args.per_category}")
+        config = read_config(args.config) if args.config else {}
+        prompt_file = config.get("prompt_file")
+        sections = read_prompt_sections(prompt_file) if prompt_file else DEFAULT_PROMPT_SECTIONS
         variants = args.variants
         if variants is None:
             variants = config.get("variants_per_template", VARIANTS_PER_TEMPLATE)
         check_variants(variants)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    if args.offline:
-        try:
+        if args.offline:
             rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
             perturb = PerturbationSpec(rng_seed=args.seed, **rates)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        notes = generate_offline(templates, variants, perturb)
-    else:
-        for key in ("model_name", "endpoint_url"):
-            if key not in config:
-                raise UsageError(f"--online requires {key!r} in the config file")
-        try:
+            generate = functools.partial(
+                generate_offline, variants_per_template=variants, perturb=perturb
+            )
+        else:
+            for key in ("model_name", "endpoint_url"):
+                if key not in config:
+                    raise UsageError(f"--online requires {key!r} in the config file")
             fields = {f.name for f in dataclasses.fields(GenerationConfig)}
             settings = {key: value for key, value in config.items() if key in fields}
             gen_config = GenerationConfig(**{**settings, "variants_per_template": variants})
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        notes = generate_llm(templates, gen_config, sections)
+            generate = functools.partial(generate_llm, config=gen_config, sections=sections)
+    except OSError as exc:  # read_config reports its own; only the prompt file raises one
+        raise UsageError(f"{prompt_file}: cannot read prompt file: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+    if args.templates:
+        templates = templates_from_corpus(read_corpus(args.templates))
+    else:
+        templates = select_seed_templates(
+            read_corpus(args.corpus), per_category=args.per_category or 15, seed=args.seed
+        )
+    notes = generate(templates)
 
     finished = []
     failed = 0
@@ -201,8 +202,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    notes = read_corpus(args.corpus_in)
     ratios = _parse_ratios(args.ratios)
+    notes = read_corpus(args.corpus_in)
     try:
         manifest = split_corpus(notes, ratios=ratios, seed=args.seed)
     except ValueError as exc:
@@ -215,14 +216,13 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    if args.extractor != "builtin" and not args.extractor.startswith("predictions="):
+    kind, _, path = args.extractor.partition("=")
+    if args.extractor != "builtin" and not (kind == "predictions" and path):
         raise UsageError(
             f"--extractor must be 'builtin' or 'predictions=<path>', got {args.extractor!r}"
         )
     notes = read_corpus(args.corpus_in)
-    predictions = None
-    if args.extractor != "builtin":
-        predictions = load_external_predictions(args.extractor.split("=", 1)[1], notes)
+    predictions = load_external_predictions(path, notes) if path else None
 
     extracted = []
     for annotated in notes:
@@ -273,6 +273,7 @@ def _cmd_evaluate(args) -> int:
         curves = {}
         for site, site_notes in notes_by_site(gold).items():
             if len(site_notes) < args.step:
+                print(f"{site}: {len(site_notes)} notes, fewer than --step {args.step}; no curve")
                 continue
             curve = learning_curve(
                 site_notes,
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--variants", type=int)
-    p.add_argument("--per-category", type=int, default=15)
+    p.add_argument("--per-category", type=int)
     p.add_argument("--fix-labels", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)

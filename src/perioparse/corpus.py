@@ -263,21 +263,18 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def first_repeated_id(ids):
-    """The first id that occurs a second time, or None when all are distinct."""
+def require_unique_ids(ids, what: str = "corpus", error=ValueError) -> None:
+    """Raise `error` naming the first note id that occurs a second time."""
     seen = set()
     for note_id in ids:
         if note_id in seen:
-            return note_id
+            raise error(f"duplicate note_id {note_id!r} in {what}")
         seen.add(note_id)
-    return None
 
 
 def write_corpus(notes, path) -> None:
     notes = list(notes)  # read twice: a generator would write an empty file
-    dup = first_repeated_id(n.note.note_id for n in notes)
-    if dup is not None:
-        raise CorpusFormatError(f"duplicate note_id {dup!r} in corpus")
+    require_unique_ids((n.note.note_id for n in notes), error=CorpusFormatError)
     lines = [json.dumps(note_to_obj(n), ensure_ascii=False) for n in notes]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
@@ -374,9 +371,7 @@ def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
         raise ValueError(
             f"cannot split {len(ids)} notes into {len(PARTITIONS)} partitions"
         )
-    dup = first_repeated_id(ids)
-    if dup is not None:
-        raise ValueError(f"duplicate note_id {dup!r} in corpus")
+    require_unique_ids(ids)
 
     n = len(ids)
     n_val = math.floor(ratios[1] * n)

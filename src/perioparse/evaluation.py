@@ -13,7 +13,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .corpus import first_repeated_id
+from .corpus import require_unique_ids
 from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension
 
 NA = "N/A"
@@ -165,13 +165,6 @@ def _require_same_ids(gold_ids, pred_ids) -> None:
         )
 
 
-def _require_unique_ids(ids, what: str) -> None:
-    """Raise naming the first note id that repeats."""
-    repeated = first_repeated_id(ids)
-    if repeated is not None:
-        raise ValueError(f"duplicate note_id {repeated!r} in {what}")
-
-
 def _score(matrices: dict[Dimension, ConfusionMatrix], record_pairs, site: str) -> MetricsTable:
     """Add each note's (gold, predicted) records to the matrices, then score them."""
     for gold, pred in record_pairs:
@@ -205,8 +198,8 @@ def notes_by_site(notes) -> dict[str, list]:
 
 def evaluate_corpus(gold_notes, pred_notes) -> dict[str, tuple[dict, MetricsTable]]:
     """Per-site evaluation of two aligned corpora of annotated notes."""
-    _require_unique_ids((n.note.note_id for n in gold_notes), "gold")
-    _require_unique_ids((n.note.note_id for n in pred_notes), "predictions")
+    require_unique_ids((n.note.note_id for n in gold_notes), "gold")
+    require_unique_ids((n.note.note_id for n in pred_notes), "predictions")
     pred_by_id = {n.note.note_id: n.record for n in pred_notes}
     _require_same_ids((n.note.note_id for n in gold_notes), pred_by_id)
     results = {}
@@ -268,7 +261,7 @@ def learning_curve(
     _check_stabilization_args(epsilon, window)
     if len(gold_notes) < step:
         raise ValueError(f"pool of {len(gold_notes)} notes is smaller than step {step}")
-    _require_unique_ids((n.note.note_id for n in gold_notes), "gold pool")
+    require_unique_ids((n.note.note_id for n in gold_notes), "gold pool")
     pool = list(gold_notes)
     random.Random(seed).shuffle(pool)
 

@@ -419,6 +419,48 @@ def test_synth_per_category_below_one_is_usage_error(tmp_path, capsys, per_categ
     assert not out.exists()
 
 
+_ONLINE = "model_name = m\nendpoint_url = http://localhost:9/v1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config_text, named",
+    [
+        (["synth", "--offline", "--corpus", "IN", "--seed", 1, "--variants", 0], "",
+         "variants_per_template must be at least 1"),
+        (["synth", "--offline", "--templates", "IN", "--seed", 1], "typo_rate = 2\n",
+         "typo_rate must be within [0, 1]"),
+        (["synth", "--online", "--templates", "IN"], _ONLINE + "temperature = 5\n",
+         "temperature must be within (0, 2]"),
+        (["synth", "--online", "--templates", "IN"], "model_name = m\n", "'endpoint_url'"),
+        (["synth", "--online", "--templates", "IN", "--seed", 1], _ONLINE,
+         "--seed does nothing with --online --templates"),
+        (["synth", "--offline", "--templates", "IN", "--seed", 1, "--per-category", 3], "",
+         "--per-category works only with --corpus"),
+        (["synth", "--offline", "--corpus", "IN", "--seed", 1, "--per-category", 0], "",
+         "--per-category must be at least 1"),
+        (["split", "IN", "OUT", "--ratios", "1:2", "--seed", 1], "", "--ratios"),
+        (["extract", "IN", "OUT", "--extractor", "predictions="], "",
+         "--extractor must be 'builtin' or 'predictions=<path>', got 'predictions='"),
+    ],
+    ids=[
+        "corpus-zero-variants", "rate-out-of-range", "temperature-out-of-range",
+        "online-without-endpoint", "seed-with-online-templates", "per-category-with-templates",
+        "per-category-below-one", "two-ratios", "empty-predictions-path",
+    ],
+)
+def test_refused_values_exit_2_before_any_input_is_read(tmp_path, capsys, argv, config_text, named):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    paths = {"IN": tmp_path / "missing.jsonl", "OUT": tmp_path / "out"}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] == "synth":
+        argv += ["--config", config, "--out", paths["OUT"]]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ") and named in err[0]
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_readme_lists_exactly_the_accepted_config_keys(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config file", 1)[1].split("```", 2)[1]
@@ -648,6 +690,15 @@ def test_evaluate_self_is_perfect(tmp_path, template_file, capsys):
     assert "1.00" in report
     assert (out_dir / "confusion.json").exists()
     assert (out_dir / "bar_chart.json").exists()
+
+
+def test_evaluate_curve_says_which_site_gets_none(tmp_path, template_file, capsys):
+    corpus = make_clean_corpus(tmp_path, template_file, variants=1)  # 45 notes
+    out_dir = tmp_path / "eval"
+    assert run("evaluate", corpus, corpus, out_dir, "--curve", "--step", 100) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert "site1: 45 notes, fewer than --step 100; no curve" in stdout
+    assert json.loads((out_dir / "learning_curve.json").read_text()) == {}
 
 
 def test_evaluate_mismatched_ids(tmp_path, template_file, capsys):
