@@ -154,19 +154,21 @@ def _cmd_synth(args) -> int:
         if variants is None:
             variants = config.get("variants_per_template", VARIANTS_PER_TEMPLATE)
         check_variants(variants)
+        # Both engines' specs are built, so every config value is checked whichever runs.
+        rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
+        perturb = PerturbationSpec(rng_seed=args.seed, **rates)
+        fields = {f.name for f in dataclasses.fields(GenerationConfig)}
+        settings = {key: value for key, value in config.items() if key in fields}
+        service = dict.fromkeys(("model_name", "endpoint_url"), "")  # required with --online
+        gen_config = GenerationConfig(**{**service, **settings, "variants_per_template": variants})
         if args.offline:
-            rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
-            perturb = PerturbationSpec(rng_seed=args.seed, **rates)
             generate = functools.partial(
                 generate_offline, variants_per_template=variants, perturb=perturb
             )
         else:
-            for key in ("model_name", "endpoint_url"):
+            for key in service:
                 if key not in config:
                     raise UsageError(f"--online requires {key!r} in the config file")
-            fields = {f.name for f in dataclasses.fields(GenerationConfig)}
-            settings = {key: value for key, value in config.items() if key in fields}
-            gen_config = GenerationConfig(**{**settings, "variants_per_template": variants})
             generate = functools.partial(generate_llm, config=gen_config, sections=sections)
     except OSError as exc:  # read_config reports its own; only the prompt file raises one
         raise UsageError(f"{prompt_file}: cannot read prompt file: {exc.strerror}") from exc

@@ -18,21 +18,21 @@ phrases. Entity words of four or more letters tolerate a single-character
 typo. What a word means is read from one lexicon record per distinct
 token (`_lex`), built once from the `_LEXICON` tables.
 
-The grammar reads each sentence once, from its first anchor or whole, and
-emits every span it finds; `group_statements`, the one grouping rule and the
-only code that splits at anchors, makes statements of them as of a tagger's
-spans. An extent survives grouping only if the next span, past skip
-adjectives ("chronic", "mild", ...) and its own "Stage"/"Grade" marker, is a
-status, stage or grade ("Generalized Recession" and the "Localized" of
-"Localized Generalized Periodontitis" do not).
+A note is walked once, sentence by sentence: the sentence's anchors are found
+once, the grammar reads its spans (from the first anchor on, or whole) or a
+tagger's are taken, and the one grouping rule, the only code that splits at
+anchors, makes statements of them. An extent survives grouping only if the
+next span, past skip adjectives ("chronic", "mild", ...) and its own
+"Stage"/"Grade" marker, is a status, stage or grade ("Generalized Recession"
+and the "Localized" of "Localized Generalized Periodontitis" do not).
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Iterable
-from functools import lru_cache
+from collections.abc import Callable, Iterable
+from functools import lru_cache, partial
 from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
@@ -120,6 +120,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
 _ANCHOR_RE = re.compile(r"(?<![^\W_])([^\W_]+)\s*[:-]")
 # A sentence and its end marks; the passages cover every offset and none is empty.
 _PASSAGE_RE = re.compile(r"(?!\Z)[^.!?\n]*[.!?\n]*")
+_START = attrgetter("start")  # spans sort and bisect by where they start
 
 
 class Token(NamedTuple):
@@ -321,8 +322,9 @@ def _initial_trigger(sentence_text: str) -> bool:
     return False
 
 
-def _anchors(text: str, pos: int, end: int) -> list[re.Match]:
-    """The "D:"-style anchors whose word starts in `text[pos:end]`, within one sentence."""
+def _anchors(text: str, passage: re.Match) -> list[re.Match]:
+    """The "D:"-style anchors whose word starts in the sentence `passage`."""
+    pos, end = passage.span()
     # An anchor ends at a ":" or "-", so the search stops after the last one;
     # most sentences hold neither and cost no regex search at all.
     stop = max(text.rfind(":", pos, end), text.rfind("-", pos, end)) + 1
@@ -331,32 +333,29 @@ def _anchors(text: str, pos: int, end: int) -> list[re.Match]:
     return [m for m in _ANCHOR_RE.finditer(text, pos, stop) if _lex(m.group(1)).anchor]
 
 
-def _grammar_spans(text: str, informal: bool) -> list[EntitySpan]:
-    """Every element and extent span the grammar reads, in text order, ungrouped.
+def _read_sentence(text: str, informal: bool, passage: re.Match, anchors: list) -> list[EntitySpan]:
+    """Every element and extent span the grammar reads in one sentence, in text order.
 
-    It reads a sentence from the end of its first anchor, else whole if it
-    opens with a diagnosis, looking each word up once. A later anchor's word
-    yields no span and no lookahead reads it as a value or connector; only
-    `group_statements` splits there.
+    It reads from the end of the sentence's first anchor, else the whole
+    sentence if it opens with a diagnosis, looking each word up once. A later
+    anchor's word yields no span and no lookahead reads it as a value or
+    connector; only the grouping splits there.
     """
-    spans: list[EntitySpan] = []
-    for passage in _PASSAGE_RE.finditer(text):
-        sentence_text = passage.group()
-        start, end = passage.span()
-        anchors = _anchors(text, start, end)
-        if anchors:
-            start = anchors[0].end()
-        elif not _initial_trigger(sentence_text):
-            continue
-        words = list(_WORD_RE.finditer(text, start, end))
-        lexes = [_lex(word.group()) for word in words]
-        span, i = None, 0
-        while i < len(words):
-            after_stage = span is not None and span.dimension is Dimension.STAGE
-            span, last = _read_word(text, words, lexes, i, informal, sentence_text, after_stage)
-            if span is not None:
-                spans.append(span)
-            i = last + 1
+    sentence_text = passage.group()
+    start, end = passage.span()
+    if anchors:
+        start = anchors[0].end()
+    elif not _initial_trigger(sentence_text):
+        return []
+    words = list(_WORD_RE.finditer(text, start, end))
+    lexes = [_lex(word.group()) for word in words]
+    spans, span, i = [], None, 0
+    while i < len(words):
+        after_stage = span is not None and span.dimension is Dimension.STAGE
+        span, last = _read_word(text, words, lexes, i, informal, sentence_text, after_stage)
+        if span is not None:
+            spans.append(span)
+        i = last + 1
     return spans
 
 
@@ -369,31 +368,22 @@ def _heads(text: str, extent: EntitySpan, head: EntitySpan) -> bool:
     return head.dimension is not Dimension.SUBTYPE and {w.lower() for w in gap} <= _HEAD_SKIP_WORDS
 
 
-def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
-    """Group a note's spans, from the grammar or any tagger, into statements.
+def _walk(text: str, sentence_spans: Callable) -> list[Statement]:
+    """The one walk over a note's sentences, grouping as `group_statements` says.
 
-    The regions are the sentences (with the punctuation after them) split at
-    their anchors, the text before a first anchor included. Inside one, in
-    text order, a status, stage, grade or subtype whose dimension the current
-    statement holds opens the next. An extent joins the status, stage or
-    grade span after it if only `_HEAD_SKIP_WORDS`, then that span's own
-    marker, lie between; else it is dropped. A statement is hedged if its
-    sentence holds a hedge cue.
+    It finds each sentence's anchors once and splits at them the spans that
+    `sentence_spans(passage, anchors)` gives, in text order.
     """
-    spans = sorted(spans, key=attrgetter("start"))
-    starts = [span.start for span in spans]
     statements: list[Statement] = []
-    i = 0
     for passage in _PASSAGE_RE.finditer(text):
-        if i == len(spans):
-            break
-        end = passage.end()
-        if starts[i] >= end:
+        anchors = _anchors(text, passage)
+        spans = sentence_spans(passage, anchors)
+        if not spans:
             continue
-        hedged = _HEDGE_RE.search(passage.group().lower()) is not None  # once per sentence
-        # Only an anchor after the sentence's first span can split its spans.
-        for bound in [*(m.start() for m in _anchors(text, starts[i] + 1, end)), end]:
-            j = bisect_left(starts, bound, i)
+        hedged = _HEDGE_RE.search(passage.group().lower()) is not None
+        i = 0
+        for bound in [*(m.start() for m in anchors), passage.end()]:
+            j = bisect_left(spans, bound, i, key=_START)
             groups, extent = [], None
             for span in spans[i:j]:
                 if span.dimension is Dimension.EXTENT:
@@ -412,11 +402,27 @@ def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
     return statements
 
 
+def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
+    """Group a note's spans, from the grammar or any tagger, into statements.
+
+    The regions are the sentences (with the punctuation after them) split at
+    their anchors, the text before a first anchor included. Inside one, in
+    text order, a status, stage, grade or subtype whose dimension the current
+    statement holds opens the next. An extent joins the status, stage or
+    grade span after it if only `_HEAD_SKIP_WORDS`, then that span's own
+    marker, lie between; else it is dropped. A statement is hedged if its
+    sentence holds a hedge cue.
+    """
+    spans = sorted(spans, key=_START)
+    cut = partial(bisect_left, spans, key=_START)
+    return _walk(text, lambda passage, anchors: spans[cut(passage.start()) : cut(passage.end())])
+
+
 def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     """Extract diagnosis statements with their spans and hedge flags."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return group_statements(text, _grammar_spans(text, mode == "informal"))
+    return _walk(text, partial(_read_sentence, text, mode == "informal"))
 
 
 def extract_entities(text: str, mode: str = "strict") -> list[EntitySpan]:

@@ -432,6 +432,10 @@ _ONLINE = "model_name = m\nendpoint_url = http://localhost:9/v1\n"
         (["synth", "--online", "--templates", "IN"], _ONLINE + "temperature = 5\n",
          "temperature must be within (0, 2]"),
         (["synth", "--online", "--templates", "IN"], "model_name = m\n", "'endpoint_url'"),
+        (["synth", "--offline", "--templates", "IN", "--seed", 1], "temperature = 5\n",
+         "temperature must be within (0, 2]"),
+        (["synth", "--online", "--templates", "IN"], _ONLINE + "typo_rate = 5\n",
+         "typo_rate must be within [0, 1]"),
         (["synth", "--online", "--templates", "IN", "--seed", 1], _ONLINE,
          "--seed does nothing with --online --templates"),
         (["synth", "--offline", "--templates", "IN", "--seed", 1, "--per-category", 3], "",
@@ -444,7 +448,8 @@ _ONLINE = "model_name = m\nendpoint_url = http://localhost:9/v1\n"
     ],
     ids=[
         "corpus-zero-variants", "rate-out-of-range", "temperature-out-of-range",
-        "online-without-endpoint", "seed-with-online-templates", "per-category-with-templates",
+        "online-without-endpoint", "offline-checks-temperature", "online-checks-rates",
+        "seed-with-online-templates", "per-category-with-templates",
         "per-category-below-one", "two-ratios", "empty-predictions-path",
     ],
 )

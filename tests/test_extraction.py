@@ -26,6 +26,7 @@ from perioparse.extraction import (
 )
 from perioparse.model import (
     Dimension,
+    EntitySpan,
     Extent,
     Grade,
     PeriodontalStatus,
@@ -493,10 +494,73 @@ def test_grouping_the_grammars_spans_gives_its_statements(pieces, mode, rnd):
     # extents it drops included.
     text = "".join(piece + sep for piece, sep in pieces)
     statements = extract_statements(text, mode)
-    read = extraction._grammar_spans(text, mode == "informal")
+    read = [
+        span
+        for passage in extraction._PASSAGE_RE.finditer(text)
+        for span in extraction._read_sentence(
+            text, mode == "informal", passage, extraction._anchors(text, passage)
+        )
+    ]
     for spans in (extract_entities(text, mode), read):
         rnd.shuffle(spans)
         assert group_statements(text, spans) == statements
+
+
+@pytest.mark.parametrize(
+    "text, raws, statements",
+    [
+        # A tagger may mark words before a sentence's first anchor; that anchor still splits.
+        ("Hx periodontitis D: gingivitis.", [(_ST, "periodontitis"), (_ST, "gingivitis")],
+         [["periodontitis"], ["gingivitis"]]),
+        ("Hx periodontitis D: Stage II.", [(_ST, "periodontitis"), (_SG, "II")],
+         [["periodontitis"], ["II"]]),
+        ("Generalized Hx D: Stage II.", [(_E, "Generalized"), (_SG, "II")], [["II"]]),
+        # A span that starts at an anchor's word falls after the split.
+        ("Periodontitis Dx: Stage II", [(_ST, "Periodontitis"), (_GR, "Dx"), (_SG, "II")],
+         [["Periodontitis"], ["Dx", "II"]]),
+        ("Dx: Stage II", [(_ST, "Dx"), (_SG, "II")], [["Dx", "II"]]),
+        # Every anchor of the sentence splits, the first one included.
+        ("Hx: periodontitis D: Stage II Dx- Grade B D- gingivitis.",
+         [(_ST, "periodontitis"), (_SG, "II"), (_GR, "B"), (_ST, "gingivitis")],
+         [["periodontitis"], ["II"], ["B"], ["gingivitis"]]),
+        ("D: Generalized Dx: Stage II Grade B", [(_E, "Generalized"), (_SG, "II"), (_GR, "B")],
+         [["II", "B"]]),
+        # No anchor and no opening word: the grammar reads nothing here, a tagger's spans group.
+        ("Patient notes: mild Stage II, Grade B.", [(_SG, "II"), (_GR, "B")], [["II", "B"]]),
+        ("Patient has generalized Stage II. Grade B",
+         [(_E, "generalized"), (_SG, "II"), (_GR, "B")], [["generalized", "II"], ["B"]]),
+    ],
+    ids=[
+        "before-first-anchor", "split-before-first-anchor", "extent-before-first-anchor",
+        "span-at-anchor", "first-span-at-first-anchor", "many-anchors", "anchor-ends-extent",
+        "no-anchor-no-trigger", "no-anchor-two-sentences",
+    ],
+)
+def test_grouping_predicted_spans_around_anchors(text, raws, statements):
+    spans, cursor = [], 0
+    for dimension, raw in raws:
+        start = text.index(raw, cursor)
+        cursor = start + len(raw)
+        spans.append(EntitySpan(dimension, None, start, cursor, raw))
+    got = group_statements(text, spans[::-1])
+    assert [[s.raw_text for s in st.spans] for st in got] == statements
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_diagnose_finds_each_sentences_anchors_once(monkeypatch, mode):
+    notes = [
+        "D: Periodontitis Stage II. Generalized gingivitis. Patient well.\nDx: Stage III Grade B",
+        "Hx: possible periodontitis D: Stage II Dx- Grade B! Recall in 6 months?\n\nD- Gingivitis",
+        "Localized Stage 3 B. Stage II Grade A, likely. No bleeding-on-probing: none.",
+    ]
+    calls = []
+    anchors = extraction._anchors
+    monkeypatch.setattr(extraction, "_anchors", lambda *args: calls.append(args) or anchors(*args))
+    for text in notes:
+        calls.clear()
+        spans, _ = diagnose(text, mode)
+        assert spans
+        assert len(calls) == len(list(extraction._PASSAGE_RE.finditer(text)))
 
 
 def test_word_memo_stays_bounded_on_many_distinct_words():
