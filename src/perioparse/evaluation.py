@@ -14,18 +14,23 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .corpus import require_unique_ids
-from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension
+from .model import DIMENSION_VALUES, DIMENSIONS, LEGAL_RECORDS, DiagnosisRecord, Dimension
 
 NA = "N/A"
 
 
+def _read_labels(record: DiagnosisRecord | None) -> tuple[str, ...]:
+    values = (record.value_for(dim) if record is not None else None for dim in DIMENSIONS)
+    return tuple(NA if value is None else value.value for value in values)
+
+
+# The labels, in `DIMENSIONS` order, of each legal record and of no record.
+_LABELS = {record: _read_labels(record) for record in (*LEGAL_RECORDS, None)}
+
+
 def record_labels(record: DiagnosisRecord | None) -> dict[Dimension, str]:
     """The five class labels a record contributes, with N/A for absences."""
-    labels = {}
-    for dim in DIMENSIONS:
-        value = record.value_for(dim) if record is not None else None
-        labels[dim] = value.value if value is not None else NA
-    return labels
+    return dict(zip(DIMENSIONS, _LABELS.get(record) or _read_labels(record)))
 
 
 def compare_note(
@@ -167,9 +172,11 @@ def _require_same_ids(gold_ids, pred_ids) -> None:
 
 def _score(matrices: dict[Dimension, ConfusionMatrix], record_pairs, site: str) -> MetricsTable:
     """Add each note's (gold, predicted) records to the matrices, then score them."""
+    columns = [matrices[dim] for dim in DIMENSIONS]
     for gold, pred in record_pairs:
-        for dim, (gold_label, pred_label) in compare_note(gold, pred).items():
-            matrices[dim].add(gold_label, pred_label)
+        labels = zip(columns, record_labels(gold).values(), record_labels(pred).values())
+        for matrix, gold_label, pred_label in labels:
+            matrix.add(gold_label, pred_label)
     dims = []
     for dim in DIMENSIONS:
         metrics = all_class_metrics(matrices[dim])

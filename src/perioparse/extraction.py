@@ -25,6 +25,9 @@ anchors, makes statements of them. An extent survives grouping only if the
 next span, past skip adjectives ("chronic", "mild", ...) and its own
 "Stage"/"Grade" marker, is a status, stage or grade ("Generalized Recession"
 and the "Localized" of "Localized Generalized Periodontitis" do not).
+Templated notes repeat sentences, so a sentence's statements are kept in a
+bounded memo keyed by its text and the mode, like `_lex` (`_read_passage`);
+one over `_MEMO_SENTENCE_CHARS` characters is read uncached.
 """
 
 from __future__ import annotations
@@ -121,6 +124,7 @@ _ANCHOR_RE = re.compile(r"(?<![^\W_])([^\W_]+)\s*[:-]")
 # A sentence and its end marks; the passages cover every offset and none is empty.
 _PASSAGE_RE = re.compile(r"(?!\Z)[^.!?\n]*[.!?\n]*")
 _START = attrgetter("start")  # spans sort and bisect by where they start
+_MEMO_SENTENCE_CHARS = 1_000  # a longer sentence is read uncached: the memo pins at most ~4 MB
 
 
 class Token(NamedTuple):
@@ -369,7 +373,7 @@ def _heads(text: str, extent: EntitySpan, head: EntitySpan) -> bool:
 
 
 def _walk(text: str, sentence_spans: Callable) -> list[Statement]:
-    """The one walk over a note's sentences, grouping as `group_statements` says.
+    """The walk over a text's sentences that groups their spans, as `group_statements` says.
 
     It finds each sentence's anchors once and splits at them the spans that
     `sentence_spans(passage, anchors)` gives, in text order.
@@ -418,11 +422,35 @@ def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
     return _walk(text, lambda passage, anchors: spans[cut(passage.start()) : cut(passage.end())])
 
 
+@lru_cache(maxsize=4096)
+def _read_passage(sentence: str, informal: bool) -> tuple[Statement, ...]:
+    """One sentence's statements, read alone, at offsets from its start.
+
+    The walk reads only inside the sentence, and the character before it in a
+    note is a terminator, never a word character.
+    """
+    return tuple(_walk(sentence, partial(_read_sentence, sentence, informal)))
+
+
+def _shifted(statement: Statement, offset: int) -> Statement:
+    spans = tuple(
+        EntitySpan(s.dimension, s.value, s.start + offset, s.end + offset, s.raw_text)
+        for s in statement.spans
+    )
+    return Statement(spans, statement.hedged, statement.start + offset, statement.end + offset)
+
+
 def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     """Extract diagnosis statements with their spans and hedge flags."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return _walk(text, partial(_read_sentence, text, mode == "informal"))
+    statements: list[Statement] = []
+    for passage in _PASSAGE_RE.finditer(text):
+        sentence, offset = passage.group(), passage.start()
+        read = _read_passage if len(sentence) <= _MEMO_SENTENCE_CHARS else _read_passage.__wrapped__
+        found = read(sentence, mode == "informal")
+        statements += found if not offset else (_shifted(s, offset) for s in found)
+    return statements
 
 
 def extract_entities(text: str, mode: str = "strict") -> list[EntitySpan]:

@@ -3,6 +3,7 @@ import json
 import random
 import string
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -556,11 +557,15 @@ def test_diagnose_finds_each_sentences_anchors_once(monkeypatch, mode):
     calls = []
     anchors = extraction._anchors
     monkeypatch.setattr(extraction, "_anchors", lambda *args: calls.append(args) or anchors(*args))
+    extraction._read_passage.cache_clear()
     for text in notes:
         calls.clear()
-        spans, _ = diagnose(text, mode)
+        spans, record = diagnose(text, mode)
         assert spans
         assert len(calls) == len(list(extraction._PASSAGE_RE.finditer(text)))
+        calls.clear()
+        assert diagnose(text, mode) == (spans, record)
+        assert not calls  # a sentence read before is not read again
 
 
 def test_word_memo_stays_bounded_on_many_distinct_words():
@@ -574,6 +579,60 @@ def test_word_memo_stays_bounded_on_many_distinct_words():
     extract_statements(text, "informal")
     assert time.monotonic() - start < 2.0
     info = extraction._lex.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def _cold_read(text, mode):
+    """`extract_statements` without the sentence memo: one walk over the whole note."""
+    return extraction._walk(text, partial(extraction._read_sentence, text, mode == "informal"))
+
+
+_LONG_SENTENCE = (
+    "D: Periodontitis " + "mild " * (extraction._MEMO_SENTENCE_CHARS // 5) + "Stage II Grade B.\n"
+)
+_MODE_SENTENCE = "D: Periodontitis III B.\n"  # "III B" is a stage and grade in informal mode only
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(
+            st.sampled_from([*_GROUPING_PIECES, *_TEXT_PIECES]),
+            st.sampled_from([" ", ". ", ", ", "\n"]),
+        ),
+        max_size=30,
+    ),
+    mode=st.sampled_from(MODES),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_memoized_reading_equals_a_cold_read(pieces, mode, rnd):
+    text = "".join(piece + sep for piece, sep in pieces)
+    sentences = [p.group() for p in extraction._PASSAGE_RE.finditer(text)] + [_MODE_SENTENCE]
+    for warm_mode in (*MODES, mode):  # warm the memo, in both modes, on notes sharing sentences
+        rnd.shuffle(sentences)
+        extract_statements("".join(sentences), warm_mode)
+    # Repeated sentences at offset 0 and later, and a sentence over the cap.
+    notes = [
+        text, text + "\n" + text, _LONG_SENTENCE + text,
+        text + "\n" + _MODE_SENTENCE + _LONG_SENTENCE + text,
+    ]
+    warm = [extract_statements(note, mode) for note in notes]
+    extraction._read_passage.cache_clear()
+    assert warm == [extract_statements(note, mode) for note in notes]
+    assert warm == [_cold_read(note, mode) for note in notes]
+
+
+def test_sentence_memo_stays_bounded_on_many_distinct_sentences():
+    extraction._read_passage.cache_clear()
+    statements = extract_statements(_LONG_SENTENCE, "strict")
+    assert extraction._read_passage.cache_info().currsize == 0  # read, but not kept
+    assert statements == _cold_read(_LONG_SENTENCE, "strict")
+    assert [[s.raw_text for s in st.spans] for st in statements] == [["Periodontitis", "II", "B"]]
+    text = "".join(f"Recall visit {i}. " for i in range(50_000))
+    start = time.monotonic()
+    extract_statements(text, "informal")
+    assert time.monotonic() - start < 2.0
+    info = extraction._read_passage.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
