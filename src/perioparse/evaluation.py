@@ -8,38 +8,38 @@ never an averaged class.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .corpus import require_unique_ids
-from .model import DIMENSION_VALUES, DIMENSIONS, LEGAL_RECORDS, DiagnosisRecord, Dimension
+from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension
 
 NA = "N/A"
 
 
-def _read_labels(record: DiagnosisRecord | None) -> tuple[str, ...]:
+@functools.cache
+def _labels(record: DiagnosisRecord | None) -> tuple[str, ...]:
+    """A record's class labels in `DIMENSIONS` order, N/A for absences, read from its fields.
+
+    A status and four optional small enums make at most 720 records, so the cache stays small.
+    """
     values = (record.value_for(dim) if record is not None else None for dim in DIMENSIONS)
     return tuple(NA if value is None else value.value for value in values)
 
 
-# The labels, in `DIMENSIONS` order, of each legal record and of no record.
-_LABELS = {record: _read_labels(record) for record in (*LEGAL_RECORDS, None)}
-
-
 def record_labels(record: DiagnosisRecord | None) -> dict[Dimension, str]:
     """The five class labels a record contributes, with N/A for absences."""
-    return dict(zip(DIMENSIONS, _LABELS.get(record) or _read_labels(record)))
+    return dict(zip(DIMENSIONS, _labels(record)))
 
 
 def compare_note(
     gold: DiagnosisRecord | None, pred: DiagnosisRecord | None
 ) -> dict[Dimension, tuple[str, str]]:
     """Per-dimension (gold, predicted) label pairs for one note."""
-    gold_labels = record_labels(gold)
-    pred_labels = record_labels(pred)
-    return {dim: (gold_labels[dim], pred_labels[dim]) for dim in DIMENSIONS}
+    return dict(zip(DIMENSIONS, zip(_labels(gold), _labels(pred))))
 
 
 def dimension_classes(dimension: Dimension) -> tuple[str, ...]:
@@ -174,8 +174,7 @@ def _score(matrices: dict[Dimension, ConfusionMatrix], record_pairs, site: str) 
     """Add each note's (gold, predicted) records to the matrices, then score them."""
     columns = [matrices[dim] for dim in DIMENSIONS]
     for gold, pred in record_pairs:
-        labels = zip(columns, record_labels(gold).values(), record_labels(pred).values())
-        for matrix, gold_label, pred_label in labels:
+        for matrix, gold_label, pred_label in zip(columns, _labels(gold), _labels(pred)):
             matrix.add(gold_label, pred_label)
     dims = []
     for dim in DIMENSIONS:

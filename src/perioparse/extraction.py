@@ -18,24 +18,25 @@ phrases. Entity words of four or more letters tolerate a single-character
 typo. What a word means is read from one lexicon record per distinct
 token (`_lex`), built once from the `_LEXICON` tables.
 
-A note is walked once, sentence by sentence: the sentence's anchors are found
-once, the grammar reads its spans (from the first anchor on, or whole) or a
-tagger's are taken, and the one grouping rule, the only code that splits at
-anchors, makes statements of them. An extent survives grouping only if the
-next span, past skip adjectives ("chronic", "mild", ...) and its own
-"Stage"/"Grade" marker, is a status, stage or grade ("Generalized Recession"
-and the "Localized" of "Localized Generalized Periodontitis" do not).
-Templated notes repeat sentences, so a sentence's statements are kept in a
-bounded memo keyed by its text and the mode, like `_lex` (`_read_passage`);
-one over `_MEMO_SENTENCE_CHARS` characters is read uncached.
+A note is read sentence by sentence: the sentence's anchors are found once,
+the grammar reads its spans (from the first anchor on, or whole), and
+`_group_sentence`, the only code that splits at anchors, groups them. An
+extent survives grouping only if the next span, past skip adjectives
+("chronic", "mild", ...) and its own "Stage"/"Grade" marker, is a status,
+stage or grade ("Generalized Recession" and the "Localized" of "Localized
+Generalized Periodontitis" do not). Templated notes repeat sentences, so
+`_read_passage` reads and groups each sentence alone, in a bounded memo keyed
+by its text and the mode like `_lex`; one over `_MEMO_SENTENCE_CHARS`
+characters is read uncached. A tagger's spans are grouped by the same
+function; only a sentence that holds one of them is searched for anchors.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
-from functools import lru_cache, partial
+from collections.abc import Iterable
+from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
@@ -372,38 +373,29 @@ def _heads(text: str, extent: EntitySpan, head: EntitySpan) -> bool:
     return head.dimension is not Dimension.SUBTYPE and {w.lower() for w in gap} <= _HEAD_SKIP_WORDS
 
 
-def _walk(text: str, sentence_spans: Callable) -> list[Statement]:
-    """The walk over a text's sentences that groups their spans, as `group_statements` says.
+def _group_sentence(text: str, passage: re.Match, anchors: list, spans: list):
+    """The statements, as `group_statements` groups them, of one sentence's spans in text order.
 
-    It finds each sentence's anchors once and splits at them the spans that
-    `sentence_spans(passage, anchors)` gives, in text order.
+    The sentence is `passage` of `text`; each of its `anchors` splits the spans.
     """
-    statements: list[Statement] = []
-    for passage in _PASSAGE_RE.finditer(text):
-        anchors = _anchors(text, passage)
-        spans = sentence_spans(passage, anchors)
-        if not spans:
-            continue
-        hedged = _HEDGE_RE.search(passage.group().lower()) is not None
-        i = 0
-        for bound in [*(m.start() for m in anchors), passage.end()]:
-            j = bisect_left(spans, bound, i, key=_START)
-            groups, extent = [], None
-            for span in spans[i:j]:
-                if span.dimension is Dimension.EXTENT:
-                    extent = span
-                    continue
-                if not groups or any(s.dimension is span.dimension for s in groups[-1]):
-                    groups.append([])
-                if extent is not None and _heads(text, extent, span):
-                    groups[-1].append(extent)
-                groups[-1].append(span)
-                extent = None
-            statements += (
-                Statement(tuple(g), hedged=hedged, start=g[0].start, end=g[-1].end) for g in groups
-            )
-            i = j
-    return statements
+    hedged = _HEDGE_RE.search(passage.group().lower()) is not None
+    i = 0
+    for bound in [*(m.start() for m in anchors), passage.end()]:
+        j = bisect_left(spans, bound, i, key=_START)
+        groups, extent = [], None
+        for span in spans[i:j]:
+            if span.dimension is Dimension.EXTENT:
+                extent = span
+                continue
+            if not groups or any(s.dimension is span.dimension for s in groups[-1]):
+                groups.append([])
+            if extent is not None and _heads(text, extent, span):
+                groups[-1].append(extent)
+            groups[-1].append(span)
+            extent = None
+        for g in groups:
+            yield Statement(tuple(g), hedged=hedged, start=g[0].start, end=g[-1].end)
+        i = j
 
 
 def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
@@ -418,18 +410,26 @@ def group_statements(text: str, spans: Iterable[EntitySpan]) -> list[Statement]:
     sentence holds a hedge cue.
     """
     spans = sorted(spans, key=_START)
-    cut = partial(bisect_left, spans, key=_START)
-    return _walk(text, lambda passage, anchors: spans[cut(passage.start()) : cut(passage.end())])
+    statements: list[Statement] = []
+    for passage in _PASSAGE_RE.finditer(text):
+        i = bisect_left(spans, passage.start(), key=_START)
+        j = bisect_left(spans, passage.end(), i, key=_START)
+        if i < j:  # only a sentence that holds a span is searched for anchors
+            statements += _group_sentence(text, passage, _anchors(text, passage), spans[i:j])
+    return statements
 
 
 @lru_cache(maxsize=4096)
 def _read_passage(sentence: str, informal: bool) -> tuple[Statement, ...]:
     """One sentence's statements, read alone, at offsets from its start.
 
-    The walk reads only inside the sentence, and the character before it in a
-    note is a terminator, never a word character.
+    The grammar reads only inside the sentence, and the character before it in
+    a note is a terminator, never a word character.
     """
-    return tuple(_walk(sentence, partial(_read_sentence, sentence, informal)))
+    passage = _PASSAGE_RE.match(sentence)
+    anchors = _anchors(sentence, passage)
+    spans = _read_sentence(sentence, informal, passage, anchors)
+    return tuple(_group_sentence(sentence, passage, anchors, spans)) if spans else ()
 
 
 def _shifted(statement: Statement, offset: int) -> Statement:

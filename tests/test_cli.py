@@ -639,6 +639,21 @@ def test_extract_external_predictions(tmp_path, template_file):
             assert [n.record for n in external] == [n.record for n in builtin], (corpus, mode)
 
 
+def test_a_note_without_a_prediction_line_gets_no_spans_and_no_record(tmp_path):
+    text = "D: Generalized Periodontitis Stage II Grade B."
+    corpus = tmp_path / "notes.jsonl"
+    write_corpus([AnnotatedNote(note=Note(nid, "site1", text)) for nid in ("n-1", "n-2")], corpus)
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, [("n-1", extract_entities(text, "strict"))])
+    builtin_out, out = tmp_path / "builtin.jsonl", tmp_path / "out.jsonl"
+    assert run("extract", corpus, builtin_out) == 0
+    assert run("extract", corpus, out, "--extractor", f"predictions={preds}") == 0
+    covered, missing = out.read_text().splitlines()
+    assert covered == builtin_out.read_text().splitlines()[0]
+    assert '"note_id": "n-2"' in missing and '"spans": [], "record": null' in missing
+    assert read_corpus(out)[1].record is None
+
+
 P, G = PeriodontalStatus.PERIODONTITIS, PeriodontalStatus.GINGIVITIS
 
 

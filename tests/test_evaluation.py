@@ -57,6 +57,13 @@ def test_false_positive_pair_uses_na():
     assert compare_note(gold, pred)[Dimension.GRADE] == (NA, "B")
 
 
+def test_an_illegal_record_is_labelled_by_its_fields():
+    bad = DiagnosisRecord(PeriodontalStatus.GINGIVITIS, stage=Stage.I)  # gingivitis has no stage
+    assert compare_note(bad, None)[Dimension.STAGE] == ("I", NA)
+    matrices, _ = evaluate_records({"a": bad}, {"a": bad})
+    assert matrices[Dimension.STAGE].counts == {("I", "I"): 1}
+
+
 def test_absent_records_are_na_everywhere():
     pairs = compare_note(None, None)
     assert all(pair == (NA, NA) for pair in pairs.values())
@@ -349,8 +356,8 @@ def _pool(records):
 
 def _count_record_labels(monkeypatch):
     calls = []
-    real = evaluation.record_labels
-    monkeypatch.setattr(evaluation, "record_labels", lambda r: calls.append(r) or real(r))
+    real = evaluation._labels
+    monkeypatch.setattr(evaluation, "_labels", lambda r: calls.append(r) or real(r))
     return calls
 
 

@@ -3,7 +3,6 @@ import json
 import random
 import string
 import time
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -480,6 +479,17 @@ _GROUPING_PIECES = [
 ]
 
 
+def _sentence_reads(text, mode):
+    """Every span `_read_sentence` reads in the note's sentences, at note offsets, uncached."""
+    return [
+        span
+        for passage in extraction._PASSAGE_RE.finditer(text)
+        for span in extraction._read_sentence(
+            text, mode == "informal", passage, extraction._anchors(text, passage)
+        )
+    ]
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     pieces=st.lists(
@@ -495,14 +505,7 @@ def test_grouping_the_grammars_spans_gives_its_statements(pieces, mode, rnd):
     # extents it drops included.
     text = "".join(piece + sep for piece, sep in pieces)
     statements = extract_statements(text, mode)
-    read = [
-        span
-        for passage in extraction._PASSAGE_RE.finditer(text)
-        for span in extraction._read_sentence(
-            text, mode == "informal", passage, extraction._anchors(text, passage)
-        )
-    ]
-    for spans in (extract_entities(text, mode), read):
+    for spans in (extract_entities(text, mode), _sentence_reads(text, mode)):
         rnd.shuffle(spans)
         assert group_statements(text, spans) == statements
 
@@ -568,6 +571,22 @@ def test_diagnose_finds_each_sentences_anchors_once(monkeypatch, mode):
         assert not calls  # a sentence read before is not read again
 
 
+def test_grouping_predicted_spans_finds_anchors_only_where_a_span_is(monkeypatch):
+    text = (
+        "Patient seen today. Probing recorded. D: Generalized Periodontitis Stage II Grade B."
+        " Recall in 3 months."
+    )
+    spans = extract_entities(text, "strict")
+    calls = []
+    anchors = extraction._anchors
+    monkeypatch.setattr(extraction, "_anchors", lambda *args: calls.append(args) or anchors(*args))
+    statements = group_statements(text, spans)
+    assert [passage.group() for _, passage in calls] == [
+        " D: Generalized Periodontitis Stage II Grade B."
+    ]
+    assert statements == extract_statements(text)
+
+
 def test_word_memo_stays_bounded_on_many_distinct_words():
     rng = random.Random(11)
     words = {}
@@ -583,8 +602,8 @@ def test_word_memo_stays_bounded_on_many_distinct_words():
 
 
 def _cold_read(text, mode):
-    """`extract_statements` without the sentence memo: one walk over the whole note."""
-    return extraction._walk(text, partial(extraction._read_sentence, text, mode == "informal"))
+    """`extract_statements` without the sentence memo: the whole note read, then grouped."""
+    return group_statements(text, _sentence_reads(text, mode))
 
 
 _LONG_SENTENCE = (
