@@ -8,6 +8,10 @@ Each subcommand checks all its flags and config values before it opens any
 input file, so a refused one exits 2 having read and written nothing. The one
 exception: `synth --online` checks the endpoint URL's form and the API key
 variable when it starts generating, after the templates are read.
+
+Work that is per note streams: a subcommand reads, works on and writes one
+note before the next, and an output replaces its target only after its last
+line. The README's file-format section names the paths that hold a corpus.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 import typing
@@ -25,6 +30,7 @@ from .corpus import (
     CorpusFormatError,
     atomic_write_text,
     cohort_filter,
+    iter_corpus,
     load_external_predictions,
     read_corpus,
     read_patient_meta,
@@ -53,7 +59,7 @@ from .synthesis import (
     PerturbationSpec,
     TemplateSelectionError,
     check_variants,
-    generate_offline,
+    iter_offline,
     read_prompt_sections,
     select_seed_templates,
     templates_from_corpus,
@@ -124,15 +130,22 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 # subcommands
 
 def _cmd_cohort(args) -> int:
-    notes = read_corpus(args.corpus_in)
+    notes = iter_corpus(args.corpus_in)
+    first = list(itertools.islice(notes, 1))  # a missing corpus is named before the meta file
     meta_by_id = read_patient_meta(args.meta_in)
-    eligible = []
-    for annotated in notes:
-        meta = meta_by_id.get(annotated.note.note_id, annotated.meta)
-        if meta is not None and cohort_filter(meta):
-            eligible.append(annotated.with_(meta=meta))
-    write_corpus(eligible, args.corpus_out)
-    print(f"{len(eligible)}/{len(notes)} eligible")
+    total = eligible = 0
+
+    def eligible_notes():
+        nonlocal total, eligible
+        for annotated in itertools.chain(first, notes):
+            total += 1
+            meta = meta_by_id.get(annotated.note.note_id, annotated.meta)
+            if meta is not None and cohort_filter(meta):
+                eligible += 1
+                yield annotated.with_(meta=meta)
+
+    write_corpus(eligible_notes(), args.corpus_out)
+    print(f"{eligible}/{total} eligible")
     return 0
 
 
@@ -163,7 +176,7 @@ def _cmd_synth(args) -> int:
         gen_config = GenerationConfig(**{**service, **settings, "variants_per_template": variants})
         if args.offline:
             generate = functools.partial(
-                generate_offline, variants_per_template=variants, perturb=perturb
+                iter_offline, variants_per_template=variants, perturb=perturb
             )
         else:
             for key in service:
@@ -179,24 +192,26 @@ def _cmd_synth(args) -> int:
         templates = templates_from_corpus(read_corpus(args.templates))
     else:
         templates = select_seed_templates(
-            read_corpus(args.corpus), per_category=args.per_category or 15, seed=args.seed
+            iter_corpus(args.corpus), per_category=args.per_category or 15, seed=args.seed
         )
-    notes = generate(templates)
+    generated = failed = 0
 
-    finished = []
-    failed = 0
-    for annotated in notes:
-        verdict = validate_labels(annotated)
-        qa = verdict_to_obj(verdict)
-        if not verdict.consistent:
-            if args.fix_labels:
-                annotated = annotated.with_(record=verdict.extracted)
-                qa["auto_fixed"] = True
-            else:
-                failed += 1
-        finished.append(annotated.with_(qa=qa))
-    write_corpus(finished, args.out)
-    print(f"generated {len(finished)} notes from {len(templates)} templates")
+    def checked_notes():
+        nonlocal generated, failed
+        for annotated in generate(templates):
+            generated += 1
+            verdict = validate_labels(annotated)
+            qa = verdict_to_obj(verdict)
+            if not verdict.consistent:
+                if args.fix_labels:
+                    annotated = annotated.with_(record=verdict.extracted)
+                    qa["auto_fixed"] = True
+                else:
+                    failed += 1
+            yield annotated.with_(qa=qa)
+
+    write_corpus(checked_notes(), args.out)
+    print(f"generated {generated} notes from {len(templates)} templates")
     if failed:
         print(f"{failed} notes failed label QA (rerun with --fix-labels to auto-fix)")
         return 1
@@ -205,15 +220,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_split(args) -> int:
     ratios = _parse_ratios(args.ratios)
-    notes = read_corpus(args.corpus_in)
-    try:
-        manifest = split_corpus(notes, ratios=ratios, seed=args.seed)
+    try:  # split_corpus keeps only the ids; a malformed line reads as main() reports it
+        manifest = split_corpus(iter_corpus(args.corpus_in), ratios=ratios, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_manifest(manifest, args.manifest_out)
     train, val, test = manifest.sizes()
-    print(f"split {len(notes)} notes into {train}/{val}/{test}")
+    print(f"split {train + val + test} notes into {train}/{val}/{test}")
     return 0
 
 
@@ -223,28 +237,34 @@ def _cmd_extract(args) -> int:
         raise UsageError(
             f"--extractor must be 'builtin' or 'predictions=<path>', got {args.extractor!r}"
         )
-    notes = read_corpus(args.corpus_in)
-    predictions = load_external_predictions(path, notes) if path else None
+    if path:  # every prediction line is checked against its note's text before any is used
+        notes = read_corpus(args.corpus_in)
+        predictions = load_external_predictions(path, notes)
+    else:
+        notes, predictions = iter_corpus(args.corpus_in), None
+    count = 0
 
-    extracted = []
-    for annotated in notes:
-        if predictions is None:
-            spans, record = diagnose(annotated.note.text, args.mode)
-        else:
-            spans = predictions.get(annotated.note.note_id, ())
-            record = adjudicate(infer_status_context(group_statements(annotated.note.text, spans)))
-        extracted.append(
-            annotated.with_(
+    def extracted_notes():
+        nonlocal count
+        for annotated in notes:
+            count += 1
+            if predictions is None:
+                spans, record = diagnose(annotated.note.text, args.mode)
+            else:
+                spans = predictions.get(annotated.note.note_id, ())
+                statements = group_statements(annotated.note.text, spans)
+                record = adjudicate(infer_status_context(statements))
+            yield annotated.with_(
                 spans=spans,
                 record=record,
                 annotation_source=AnnotationSource.PREDICTED,
                 guideline_version=classify_guideline_version(record) if record else None,
                 qa=None,
             )
-        )
-    write_corpus(extracted, args.out)
+
+    write_corpus(extracted_notes(), args.out)
     source = f"{args.mode} mode" if predictions is None else args.extractor
-    print(f"extracted {len(notes)} notes ({source})")
+    print(f"extracted {count} notes ({source})")
     return 0
 
 
@@ -254,9 +274,9 @@ def _cmd_evaluate(args) -> int:
             raise UsageError(f"{flag} must be at least 1, got {value}")
     if args.curve and not 0 < args.epsilon < math.inf:
         raise UsageError(f"--epsilon must be finite and above 0, got {args.epsilon}")
-    gold = read_corpus(args.gold_in)
-    pred = read_corpus(args.pred_in)
-    try:
+    read = read_corpus if args.curve else iter_corpus  # the curve shuffles the whole gold pool
+    gold, pred = read(args.gold_in), read(args.pred_in)
+    try:  # a malformed line of a streamed input reads as main() reports it
         results = evaluate_corpus(gold, pred)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

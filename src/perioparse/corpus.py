@@ -12,6 +12,7 @@ import math
 import os
 import random
 import typing
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -246,8 +247,16 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
     )
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via a temp sibling and rename, so readers never see partial output."""
+def atomic_write_text(path, text) -> None:
+    """Write `text`, a string or an iterable of strings, to `path` through a temp sibling.
+
+    The temp file is renamed over `path` only after the last string, so readers
+    never see partial output, and `path` may also be the file the strings are
+    read from. The first string is made before the directory or the temp file
+    is created, so a source that cannot even start leaves nothing behind.
+    """
+    chunks = iter((text,) if isinstance(text, str) else text)
+    first = next(chunks, "")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -255,7 +264,8 @@ def atomic_write_text(path, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -263,29 +273,39 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def require_unique_ids(ids, what: str = "corpus", error=ValueError) -> None:
-    """Raise `error` naming the first note id that occurs a second time."""
+def unique_notes(notes, what: str = "corpus", error=ValueError):
+    """Yield each note, raising `error` at the first whose note id occurs a second time.
+
+    A note is an annotated note or a bare `Note`.
+    """
     seen = set()
-    for note_id in ids:
+    for n in notes:
+        note_id = getattr(n, "note", n).note_id
         if note_id in seen:
             raise error(f"duplicate note_id {note_id!r} in {what}")
         seen.add(note_id)
+        yield n
 
 
 def write_corpus(notes, path) -> None:
-    notes = list(notes)  # read twice: a generator would write an empty file
-    require_unique_ids((n.note.note_id for n in notes), error=CorpusFormatError)
-    lines = [json.dumps(note_to_obj(n), ensure_ascii=False) for n in notes]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """Write annotated notes one JSON line each, streamed; a repeated note id leaves `path` as it was."""
+    atomic_write_text(
+        path,
+        (
+            json.dumps(note_to_obj(n), ensure_ascii=False) + "\n"
+            for n in unique_notes(notes, error=CorpusFormatError)
+        ),
+    )
 
 
-def _read_lines(path, decode, what: str, error=CorpusFormatError) -> dict:
-    """{note_id: decode(obj)} per JSON line; a bad line or a non-string or repeated id raises.
+def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tuple]:
+    """Yield (note_id, decode(obj)) per JSON line; a bad line or a non-string or repeated id raises.
 
     A line must be UTF-8, and its strings must be writable as UTF-8 again: a
-    lone surrogate escape such as "\\ud800" makes the line malformed.
+    lone surrogate escape such as "\\ud800" makes the line malformed. The file
+    is opened when the first pair is asked for, and closed after the last.
     """
-    out = {}
+    seen = set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -301,20 +321,26 @@ def _read_lines(path, decode, what: str, error=CorpusFormatError) -> dict:
                 value = decode(obj)
             except (ValueError, KeyError, TypeError) as exc:
                 raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-            if note_id in out:
+            if note_id in seen:
                 raise error(f"{path}:{lineno}: duplicate note_id {note_id!r}")
-            out[note_id] = value
-    return out
+            seen.add(note_id)
+            yield note_id, value
+
+
+def iter_corpus(path) -> Iterator[AnnotatedNote]:
+    """Yield a corpus file's notes one at a time, checked as `read_corpus` checks them."""
+    for _, note in _read_lines(path, note_from_obj, "record"):
+        yield note
 
 
 def read_corpus(path) -> list[AnnotatedNote]:
     """Parse a corpus file; malformed lines and duplicate ids raise with context."""
-    return list(_read_lines(path, note_from_obj, "record").values())
+    return list(iter_corpus(path))
 
 
 def read_patient_meta(path) -> dict[str, PatientMeta]:
     """Read a line-delimited meta file mapping note_id to PatientMeta fields."""
-    return _read_lines(path, _meta_from_obj, "meta record")
+    return dict(_read_lines(path, _meta_from_obj, "meta record"))
 
 
 def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]:
@@ -330,7 +356,7 @@ def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"note {note_id!r}: {exc}") from exc
 
-    return _read_lines(path, decode, "prediction record", PredictionFileError)
+    return dict(_read_lines(path, decode, "prediction record", PredictionFileError))
 
 
 # --------------------------------------------------------------------------
@@ -366,12 +392,11 @@ def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
     evaluation partitions stay at exactly their nominal fraction.
     """
     _check_ratios(ratios)
-    ids = [getattr(n, "note", n).note_id for n in notes]
+    ids = [getattr(n, "note", n).note_id for n in unique_notes(notes)]
     if len(ids) < len(PARTITIONS):
         raise ValueError(
             f"cannot split {len(ids)} notes into {len(PARTITIONS)} partitions"
         )
-    require_unique_ids(ids)
 
     n = len(ids)
     n_val = math.floor(ratios[1] * n)

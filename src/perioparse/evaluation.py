@@ -14,7 +14,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .corpus import require_unique_ids
+from .corpus import unique_notes
 from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension
 
 NA = "N/A"
@@ -203,17 +203,19 @@ def notes_by_site(notes) -> dict[str, list]:
 
 
 def evaluate_corpus(gold_notes, pred_notes) -> dict[str, tuple[dict, MetricsTable]]:
-    """Per-site evaluation of two aligned corpora of annotated notes."""
-    require_unique_ids((n.note.note_id for n in gold_notes), "gold")
-    require_unique_ids((n.note.note_id for n in pred_notes), "predictions")
-    pred_by_id = {n.note.note_id: n.record for n in pred_notes}
-    _require_same_ids((n.note.note_id for n in gold_notes), pred_by_id)
-    results = {}
-    for site, notes in notes_by_site(gold_notes).items():
-        g = {n.note.note_id: n.record for n in notes}
-        p = {nid: pred_by_id[nid] for nid in g}
-        results[site] = evaluate_records(g, p, site=site)
-    return results
+    """Per-site evaluation of two aligned corpora of annotated notes.
+
+    Each is read once, gold first, and only its note ids, sites and records are kept.
+    """
+    gold: dict[str, dict[str, DiagnosisRecord | None]] = {}
+    for n in unique_notes(gold_notes, "gold"):
+        gold.setdefault(n.note.site_id, {})[n.note.note_id] = n.record
+    pred = {n.note.note_id: n.record for n in unique_notes(pred_notes, "predictions")}
+    _require_same_ids((nid for site in gold.values() for nid in site), pred)
+    return {
+        site: evaluate_records(g, {nid: pred[nid] for nid in g}, site=site)
+        for site, g in sorted(gold.items())
+    }
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +269,7 @@ def learning_curve(
     _check_stabilization_args(epsilon, window)
     if len(gold_notes) < step:
         raise ValueError(f"pool of {len(gold_notes)} notes is smaller than step {step}")
-    require_unique_ids((n.note.note_id for n in gold_notes), "gold pool")
-    pool = list(gold_notes)
+    pool = list(unique_notes(gold_notes, "gold pool"))
     random.Random(seed).shuffle(pool)
 
     matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def check_variants(variants_per_template: int) -> None:
 
 
 def select_seed_templates(
-    corpus: list[AnnotatedNote], per_category: int = 15, seed: int = 0
+    corpus: Iterable[AnnotatedNote], per_category: int = 15, seed: int = 0
 ) -> list[SeedTemplate]:
     """Sample seed templates per status category, bucketed by the grammar's record.
 
@@ -475,20 +476,21 @@ def generate_offline(
     so templates can be rendered independently.
     """
     check_variants(variants_per_template)
-    notes = []
+    return list(iter_offline(templates, variants_per_template, perturb))
+
+
+def iter_offline(templates, variants_per_template: int, perturb: PerturbationSpec):
+    """Yield `generate_offline`'s notes one at a time; the variant count is not checked here."""
     for template in templates:
         for variant in range(variants_per_template):
             rng = random.Random(f"{perturb.rng_seed}:{template.note.note_id}:{variant}")
-            notes.append(
-                compose_note(
-                    template.embedded_record,
-                    rng,
-                    perturb,
-                    note_id=f"{template.note.note_id}-off{variant:02d}",
-                    site_id=template.note.site_id,
-                )
+            yield compose_note(
+                template.embedded_record,
+                rng,
+                perturb,
+                note_id=f"{template.note.note_id}-off{variant:02d}",
+                site_id=template.note.site_id,
             )
-    return notes
 
 
 # --------------------------------------------------------------------------

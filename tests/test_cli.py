@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from perioparse.corpus import (
     read_manifest,
     write_corpus,
 )
-from perioparse.demo import demo_seed_notes
+from perioparse.demo import demo_seed_notes, demo_seed_templates
 from perioparse.evaluation import learning_curve, notes_by_site
 from perioparse.extraction import MODES, extract_entities
 from perioparse.model import (
@@ -26,7 +29,7 @@ from perioparse.model import (
 )
 from perioparse.normalization import GuidelineVersion
 from perioparse.reporting import json_text, learning_curve_to_obj
-from perioparse.synthesis import PERTURBATION_RATES
+from perioparse.synthesis import PERTURBATION_RATES, generate_offline
 
 
 @pytest.fixture
@@ -830,6 +833,79 @@ def test_extract_from_or_to_a_directory_is_one_error_line(tmp_path, capsys):
     assert len(err) == 2
     assert all(line.startswith("error: ") and str(folder) in line for line in err)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder", "in.jsonl"]
+
+
+def test_a_missing_input_creates_no_output_directory(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert run("extract", missing, tmp_path / "new" / "dir" / "out.jsonl") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno 2] No such file or directory: '{missing}'"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+def test_a_malformed_last_line_leaves_every_output_as_it_was(
+    tmp_path, template_file, capsys, command
+):
+    # The lines before it are streamed into the temp file before the bad one is read.
+    corpus = make_clean_corpus(tmp_path, template_file, variants=1)  # 45 notes
+    text = corpus.read_text(encoding="utf-8")
+    last = {**json.loads(text.splitlines()[0]), "note_id": "n-x", "text": 5}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text + json.dumps(last) + "\n", encoding="utf-8")
+    earlier = tmp_path / "earlier"
+    earlier.mkdir()
+    (earlier / "out.jsonl").write_text("earlier\n", encoding="utf-8")
+    (earlier / "report.txt").write_text("earlier\n", encoding="utf-8")
+    if command == "extract":
+        outputs = [earlier / "out.jsonl", tmp_path / "new" / "out.jsonl"]
+        codes = [run("extract", bad, out) for out in outputs]
+    else:
+        outputs = [earlier, tmp_path / "new"]
+        codes = [run("evaluate", corpus, bad, out) for out in outputs]
+    assert codes == [1, 1]
+    message = f"error: {bad}:46: malformed record: text must be str, got 5"
+    assert capsys.readouterr().err.splitlines() == [message] * 2
+    assert sorted(p.name for p in earlier.iterdir()) == ["out.jsonl", "report.txt"]
+    assert {p.read_text(encoding="utf-8") for p in earlier.iterdir()} == {"earlier\n"}
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not list(tmp_path.glob("new/*"))
+
+
+def test_extract_and_evaluate_memory_does_not_grow_with_the_corpus(tmp_path):
+    # Each note is read, worked on and written before the next: ten times the
+    # notes may add only the ids kept to refuse a repeat, and the id-keyed
+    # records evaluate scores. Holding the notes adds ~2-3 MiB at 900 notes.
+    templates = demo_seed_templates(15)
+    runs = {}
+    for variants in (20, 2):  # 900 and 90 notes; the 90 are among the 900
+        corpus, pred = tmp_path / f"c{variants}.jsonl", tmp_path / f"p{variants}.jsonl"
+        write_corpus(generate_offline(templates, variants), corpus)
+        runs[variants] = {
+            "extract": (corpus, tmp_path / "out.jsonl", "--mode", "informal"),
+            "evaluate": (corpus, pred, tmp_path / "eval"),
+        }
+        # Reading the 900 notes first fills the sentence and label memos.
+        assert run("extract", corpus, pred, "--mode", "informal") == 0
+        assert run("evaluate", *runs[variants]["evaluate"]) == 0
+
+    def peak(command, args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(command, *args) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        growth = {
+            command: peak(command, runs[20][command]) - peak(command, runs[2][command])
+            for command in ("extract", "evaluate")
+        }
+    finally:
+        tracemalloc.stop()
+    assert max(growth.values()) < 512 * 1024, growth
 
 
 @pytest.mark.parametrize(
