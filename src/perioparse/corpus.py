@@ -143,13 +143,20 @@ def span_from_obj(obj: dict, text: str) -> EntitySpan:
     return EntitySpan(dimension, value, start, end, text[start:end] if raw is None else raw)
 
 
-def _spans_from_objs(objs, text: str) -> tuple[EntitySpan, ...]:
-    """Decode a note's spans; out-of-bounds, mismatched or overlapping spans raise."""
-    spans = tuple(span_from_obj(s, text) for s in objs)
-    problems = span_violations(text, list(spans))
+def _spans_from_objs(obj: dict, text: str) -> tuple[EntitySpan, ...]:
+    """Decode a line's `spans`, a list of span objects (none if the key is absent).
+
+    Out-of-bounds, mismatched or overlapping spans raise.
+    """
+    spans = []
+    for i, span in enumerate(_field(obj, "spans", list) if "spans" in obj else ()):
+        if type(span) is not dict:
+            raise ValueError(f"spans[{i}] must be dict, got {span!r}")
+        spans.append(span_from_obj(span, text))
+    problems = span_violations(text, spans)
     if problems:
         raise ValueError("; ".join(problems))
-    return spans
+    return tuple(spans)
 
 
 def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
@@ -238,10 +245,10 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
     gv = _optional_field(obj, "guideline_version", str)
     return AnnotatedNote(
         note=note,
-        spans=_spans_from_objs(obj.get("spans", []), text),
-        record=record_from_obj(obj.get("record")),
+        spans=_spans_from_objs(obj, text),
+        record=record_from_obj(_optional_field(obj, "record", dict)),
         annotation_source=AnnotationSource(obj["annotation_source"]),
-        meta=_meta_from_obj(obj.get("meta")),
+        meta=_meta_from_obj(_optional_field(obj, "meta", dict)),
         guideline_version=None if gv is None else GuidelineVersion(gv),
         qa=_optional_field(obj, "qa", dict),
     )
@@ -352,7 +359,7 @@ def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]
         if note_id not in texts:
             raise ValueError(f"unknown note_id {note_id!r}")
         try:
-            return _spans_from_objs(obj.get("spans", []), texts[note_id])
+            return _spans_from_objs(obj, texts[note_id])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"note {note_id!r}: {exc}") from exc
 

@@ -2,7 +2,8 @@
 
 The five diagnosis dimensions (status, stage, grade, extent, subtype) follow
 the 2018 AAP/EFP classification. Every type here is an immutable value and
-safe to share across threads.
+safe to share across threads. `legalized` (and so `normalization.adjudicate`)
+returns one of the shared instances in `LEGAL_RECORDS`, never a new record.
 """
 
 from __future__ import annotations
@@ -10,11 +11,22 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+
+class _Value(enum.Enum):
+    """Enum whose members hash by identity, in C.
+
+    Members are singletons that compare by identity, so this agrees with
+    ``==``. `Enum.__hash__` is a Python-level call, paid on every dict or set
+    lookup keyed by a member, such as `legalized`'s table.
+    """
+
+    __hash__ = object.__hash__
 
 
 @functools.total_ordering
-class _OrderedEnum(enum.Enum):
+class _OrderedEnum(_Value):
     """Enum whose members are totally ordered by definition order (ascending)."""
 
     def __init__(self, *args):
@@ -60,7 +72,7 @@ class Extent(_OrderedEnum):
     GENERALIZED = "Generalized"
 
 
-class Subtype(enum.Enum):
+class Subtype(_Value):
     """Periodontium state attached to gingivitis or health diagnoses."""
 
     INTACT_PERIODONTIUM = "Intact Periodontium"
@@ -68,7 +80,7 @@ class Subtype(enum.Enum):
     REDUCED_PERIODONTIUM_NON_PERIODONTITIS = "Reduced Periodontium, Non-Periodontitis"
 
 
-class Dimension(enum.Enum):
+class Dimension(_Value):
     """The five annotated diagnosis dimensions."""
 
     STATUS = "Status"
@@ -168,28 +180,6 @@ def is_valid_record(record: DiagnosisRecord) -> bool:
     return not validate_record(record)
 
 
-# Per status, whether it may fill stage, grade, extent and subtype.
-_OPTIONAL_LEGAL = {
-    status: tuple(dim in legal for dim in DIMENSIONS[1:])
-    for status, legal in LEGAL_DIMENSIONS.items()
-}
-
-
-def legalized(
-    status: PeriodontalStatus, stage: Stage | None, grade: Grade | None,
-    extent: Extent | None, subtype: Subtype | None,
-) -> DiagnosisRecord:
-    """Build a record, dropping fields the status cannot carry."""
-    stage_ok, grade_ok, extent_ok, subtype_ok = _OPTIONAL_LEGAL[status]
-    return DiagnosisRecord(
-        status,
-        stage if stage_ok else None,
-        grade if grade_ok else None,
-        extent if extent_ok else None,
-        subtype if subtype_ok else None,
-    )
-
-
 #: The 76 records LEGAL_DIMENSIONS allows: each field a status may fill, absent or set.
 LEGAL_RECORDS = tuple(
     DiagnosisRecord(status, *optional)
@@ -199,8 +189,35 @@ LEGAL_RECORDS = tuple(
     )
 )
 
+# Each of the 720 (status, stage, grade, extent, subtype) inputs -> the legal
+# record that keeps only the fields its status may fill.
+_LEGALIZED = {
+    (record.status, *inputs): record
+    for record in LEGAL_RECORDS
+    for inputs in itertools.product(*(
+        (record.value_for(dim),) if dim in LEGAL_DIMENSIONS[record.status]
+        else (None, *VALUE_CLASSES[dim])
+        for dim in DIMENSIONS[1:]
+    ))
+}
 
-@dataclass(frozen=True)
+
+def legalized(
+    status: PeriodontalStatus, stage: Stage | None, grade: Grade | None,
+    extent: Extent | None, subtype: Subtype | None,
+) -> DiagnosisRecord:
+    """The shared member of `LEGAL_RECORDS` with these fields, less those the status cannot fill."""
+    return _LEGALIZED[status, stage, grade, extent, subtype]
+
+
+def _slot_setters(cls) -> tuple:
+    """Each field slot's `__set__`, in field order; it stores past a frozen `__setattr__`."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+# Spans and statements are built once per note and sentence, so their
+# constructors store through the slots and skip the frozen `__setattr__`.
+@dataclass(frozen=True, slots=True, init=False)
 class EntitySpan:
     """A labeled character-offset span over note text, half-open [start, end).
 
@@ -214,9 +231,18 @@ class EntitySpan:
     end: int
     raw_text: str
 
-    def __post_init__(self):
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad span offsets [{self.start},{self.end})")
+    def __init__(self, dimension: Dimension, value: object, start: int, end: int, raw_text: str):
+        if start < 0 or end <= start:
+            raise ValueError(f"bad span offsets [{start},{end})")
+        set_dimension, set_value, set_start, set_end, set_raw_text = _SPAN_SLOTS
+        set_dimension(self, dimension)
+        set_value(self, value)
+        set_start(self, start)
+        set_end(self, end)
+        set_raw_text(self, raw_text)
+
+
+_SPAN_SLOTS = _slot_setters(EntitySpan)
 
 
 def span_violations(text: str, spans: list[EntitySpan]) -> list[str]:
@@ -241,7 +267,7 @@ def span_violations(text: str, spans: list[EntitySpan]) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Statement:
     """One diagnosis statement: the spans it produced and its hedge flag."""
 
@@ -249,3 +275,15 @@ class Statement:
     hedged: bool = False
     start: int = 0
     end: int = 0
+
+    def __init__(
+        self, spans: tuple[EntitySpan, ...], hedged: bool = False, start: int = 0, end: int = 0
+    ):
+        set_spans, set_hedged, set_start, set_end = _STATEMENT_SLOTS
+        set_spans(self, spans)
+        set_hedged(self, hedged)
+        set_start(self, start)
+        set_end(self, end)
+
+
+_STATEMENT_SLOTS = _slot_setters(Statement)

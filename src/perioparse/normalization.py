@@ -48,15 +48,16 @@ def statement_candidate(statement: Statement) -> DiagnosisRecord | None:
     extent: Extent | None = None
     subtypes: set[Subtype] = set()
     for span in statement.spans:
-        if span.dimension is Dimension.STATUS:
+        dimension = span.dimension
+        if dimension is Dimension.STATUS:
             status = join(status, span.value)
-        elif span.dimension is Dimension.STAGE:
+        elif dimension is Dimension.STAGE:
             stage = join(stage, span.value)
-        elif span.dimension is Dimension.GRADE:
+        elif dimension is Dimension.GRADE:
             grade = join(grade, span.value)
-        elif span.dimension is Dimension.EXTENT:
+        elif dimension is Dimension.EXTENT:
             extent = join(extent, span.value)
-        elif span.dimension is Dimension.SUBTYPE:
+        elif dimension is Dimension.SUBTYPE:
             subtypes.add(span.value)
     if status is None:
         if stage is None and grade is None:

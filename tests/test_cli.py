@@ -917,8 +917,18 @@ def test_extract_and_evaluate_memory_does_not_grow_with_the_corpus(tmp_path):
         ("guideline_version", "2018", "'2018' is not a valid GuidelineVersion"),
         ("qa", 5, "qa must be dict, got 5"),
         ("qa", [1], "qa must be dict, got [1]"),
+        ("spans", {}, "spans must be list, got {}"),
+        ("spans", "", "spans must be list, got ''"),
+        ("spans", None, "spans must be list, got None"),
+        ("spans", [5], "spans[0] must be dict, got 5"),
+        ("record", 5, "record must be dict, got 5"),
+        ("record", [], "record must be dict, got []"),
+        ("meta", "x", "meta must be dict, got 'x'"),
+        ("meta", [], "meta must be dict, got []"),
     ],
-    ids=["version-zero", "version-empty", "version-false", "version-unknown", "qa-int", "qa-list"],
+    ids=["version-zero", "version-empty", "version-false", "version-unknown", "qa-int", "qa-list",
+         "spans-object", "spans-string", "spans-null", "spans-int-item", "record-int",
+         "record-list", "meta-string", "meta-list"],
 )
 def test_corpus_optional_fields_are_checked(tmp_path, capsys, field, value, reason):
     good = tmp_path / "good.jsonl"
@@ -969,8 +979,12 @@ def test_span_offsets_must_be_json_integers(tmp_path, capsys, field, value):
         ([{**_STAGE_II, "raw_text": "IX"}],
          "span [9,11) raw_text 'IX' does not match note text 'II'"),
         ([_STAGE_II, {**_STAGE_II, "start": 6}], "span [9,11) overlaps [6,11)"),
+        ({}, "spans must be list, got {}"),
+        ("", "spans must be list, got ''"),
+        ([_STAGE_II, 5], "spans[1] must be dict, got 5"),
     ],
-    ids=["negative-start", "empty", "end-past-text", "raw-text-mismatch", "overlap"],
+    ids=["negative-start", "empty", "end-past-text", "raw-text-mismatch", "overlap",
+         "spans-object", "spans-string", "spans-int-item"],
 )
 def test_each_span_rule_has_one_message(tmp_path, capsys, spans, reason):
     good = tmp_path / "good.jsonl"

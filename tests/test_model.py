@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import operator
 
@@ -13,6 +14,7 @@ from perioparse.model import (
     Grade,
     PeriodontalStatus,
     Stage,
+    Statement,
     Subtype,
     is_valid_record,
     join,
@@ -113,6 +115,8 @@ def test_validate_record_full_product_against_legality_predicate():
             return stage is None and grade is None
         return stage is None and grade is None and extent is None
 
+    shared = {id(record) for record in LEGAL_RECORDS}
+    inputs = 0
     for status in PeriodontalStatus:
         for stage in (None, *Stage):
             for grade in (None, *Grade):
@@ -123,6 +127,8 @@ def test_validate_record_full_product_against_legality_predicate():
                             status, stage, grade, extent, subtype
                         )
                         kept = legalized(status, stage, grade, extent, subtype)
+                        inputs += 1
+                        assert id(kept) in shared  # one shared instance per legal record
                         assert is_valid_record(kept)
                         assert kept == DiagnosisRecord(
                             status,
@@ -131,15 +137,44 @@ def test_validate_record_full_product_against_legality_predicate():
                             extent if status is not H else None,
                             subtype if status is not P else None,
                         )
+    assert inputs == 720
     assert len(set(LEGAL_RECORDS)) == len(LEGAL_RECORDS) == 76
     assert set(LEGAL_RECORDS) == set(legal_records())
 
 
 def test_entity_span_rejects_bad_offsets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad span offsets \[5,5\)$"):
         EntitySpan(Dimension.STAGE, Stage.I, 5, 5, "")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad span offsets \[-1,2\)$"):
         EntitySpan(Dimension.STAGE, Stage.I, -1, 2, "ab")
+    with pytest.raises(ValueError, match=r"^bad span offsets \[3,2\)$"):
+        dataclasses.replace(EntitySpan(Dimension.STAGE, Stage.I, 1, 2, "a"), start=3)
+
+
+def test_spans_and_statements_are_immutable_values():
+    span = EntitySpan(Dimension.STAGE, Stage.II, 6, 8, "II")
+    statement = Statement((span,), hedged=True, start=6, end=8)
+    for value, field_values in [
+        (span, (Dimension.STAGE, Stage.II, 6, 8, "II")),
+        (statement, ((span,), True, 6, 8)),
+    ]:
+        names = [f.name for f in dataclasses.fields(value)]
+        assert tuple(getattr(value, name) for name in names) == field_values
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        twin = type(value)(*field_values)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert type(value)(**dict(zip(names, field_values))) == value
+        assert value != field_values and field_values != value
+        for name, other in zip(names, (Dimension.GRADE, Grade.B, 7, 9, "I!")):
+            changed = dataclasses.replace(value, **{name: other})
+            assert getattr(changed, name) == other and changed != value
+            assert dataclasses.replace(changed, **{name: getattr(value, name)}) == value
+    assert Statement((span,)) == Statement((span,), False, 0, 0)
+    assert len({span, EntitySpan(Dimension.STAGE, Stage.II, 6, 8, "II")}) == 1
 
 
 def test_span_violations_checks_bounds_surface_and_overlap():
