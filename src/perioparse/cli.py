@@ -1,8 +1,9 @@
 """Command-line pipeline: cohort -> synth -> split -> extract -> evaluate.
 
 Subcommands compose through files only. Every randomized step takes an
-explicit seed so results replay exactly. Exit codes: 0 success, 1 data or
-validation failure, 2 usage or configuration error.
+explicit seed so results replay exactly. Exit codes: 0 success, 2 usage or
+configuration error, 1 data failure: any other `ValueError` from the library,
+an `OSError` or a `GenerationError`.
 
 Each subcommand checks all its flags and config values before it opens any
 input file, so a refused one exits 2 having read and written nothing. The one
@@ -27,7 +28,6 @@ from pathlib import Path
 
 from .corpus import (
     AnnotationSource,
-    CorpusFormatError,
     atomic_write_text,
     cohort_filter,
     iter_corpus,
@@ -57,8 +57,6 @@ from .synthesis import (
     PERTURBATION_RATES,
     VARIANTS_PER_TEMPLATE,
     PerturbationSpec,
-    TemplateSelectionError,
-    check_variants,
     iter_offline,
     read_prompt_sections,
     select_seed_templates,
@@ -171,7 +169,6 @@ def _cmd_synth(args) -> int:
         variants = args.variants
         if variants is None:
             variants = config.get("variants_per_template", VARIANTS_PER_TEMPLATE)
-        check_variants(variants)
         # Both engines' specs are built, so every config value is checked whichever runs.
         rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
         perturb = PerturbationSpec(rng_seed=args.seed, **rates)
@@ -188,8 +185,6 @@ def _cmd_synth(args) -> int:
                 if key not in config:
                     raise UsageError(f"--online requires {key!r} in the config file")
             generate = functools.partial(generate_llm, config=gen_config, sections=sections)
-    except OSError as exc:  # read_config reports its own; only the prompt file raises one
-        raise UsageError(f"{prompt_file}: cannot read prompt file: {exc.strerror}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -227,11 +222,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_split(args) -> int:
     ratios = _parse_ratios(args.ratios)
-    try:  # split_corpus keeps only the ids; a malformed line reads as main() reports it
-        manifest = split_corpus(iter_corpus(args.corpus_in), ratios=ratios, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = split_corpus(iter_corpus(args.corpus_in), ratios=ratios, seed=args.seed)
     write_manifest(manifest, args.manifest_out)
     train, val, test = manifest.sizes()
     print(f"split {train + val + test} notes into {train}/{val}/{test}")
@@ -283,11 +274,7 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"--epsilon must be finite and above 0, got {args.epsilon}")
     read = read_corpus if args.curve else iter_corpus  # the curve shuffles the whole gold pool
     gold, pred = read(args.gold_in), read(args.pred_in)
-    try:  # a malformed line of a streamed input reads as main() reports it
-        results = evaluate_corpus(gold, pred)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    results = evaluate_corpus(gold, pred)
 
     out_dir = Path(args.out_dir)
     tables = [table for _, table in results.values()]
@@ -400,7 +387,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusFormatError, TemplateSelectionError, GenerationError, OSError) as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

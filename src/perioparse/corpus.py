@@ -308,9 +308,10 @@ def write_corpus(notes, path) -> None:
 def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tuple]:
     """Yield (note_id, decode(obj)) per JSON line; a bad line or a non-string or repeated id raises.
 
-    A line must be UTF-8, and its strings must be writable as UTF-8 again: a
-    lone surrogate escape such as "\\ud800" makes the line malformed. The file
-    is opened when the first pair is asked for, and closed after the last.
+    A line must be UTF-8 and hold one JSON object, and its strings must be
+    writable as UTF-8 again: a lone surrogate escape such as "\\ud800" makes
+    the line malformed. The file is opened when the first pair is asked for,
+    and closed after the last.
     """
     seen = set()
     with open(path, "rb") as fh:
@@ -320,6 +321,8 @@ def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tu
                 if not line.strip():
                     continue
                 obj = json.loads(line)
+                if type(obj) is not dict:
+                    raise ValueError(f"line must be dict, got {obj!r}")
                 # Only a \u escape decodes to a lone surrogate; one character
                 # is the fast test, most lines hold no backslash at all.
                 if "\\" in line and "\\u" in line:
@@ -395,8 +398,10 @@ def _check_ratios(ratios) -> None:
 def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
     """Deterministic seeded split into train/validation/test.
 
-    Partition sizes are floor(ratio * N); leftover rows go to train so the
-    evaluation partitions stay at exactly their nominal fraction.
+    Partition sizes are floor(ratio * N), where a product within 1e-9 (the
+    ratio sum's tolerance) below a whole number counts as that number, so
+    0.29 * 100 == 28.999999999999996 gives 29. Leftover rows go to train so
+    the evaluation partitions stay at exactly their nominal fraction.
     """
     _check_ratios(ratios)
     ids = [getattr(n, "note", n).note_id for n in unique_notes(notes)]
@@ -406,8 +411,8 @@ def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
         )
 
     n = len(ids)
-    n_val = math.floor(ratios[1] * n)
-    n_test = math.floor(ratios[2] * n)
+    n_val = math.floor(ratios[1] * n + 1e-9)
+    n_test = math.floor(ratios[2] * n + 1e-9)
     n_train = n - n_val - n_test
 
     shuffled = list(ids)
@@ -436,6 +441,8 @@ def read_manifest(path) -> SplitManifest:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+            if type(obj) is not dict:
+                raise ValueError(f"manifest must be dict, got {obj!r}")
             membership = _field(obj, "membership", dict)
             bad = {p for p in membership.values()} - set(PARTITIONS)
             if bad:

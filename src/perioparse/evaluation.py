@@ -30,11 +30,6 @@ def _labels(record: DiagnosisRecord | None) -> tuple[str, ...]:
     return tuple(NA if value is None else value.value for value in values)
 
 
-def record_labels(record: DiagnosisRecord | None) -> dict[Dimension, str]:
-    """The five class labels a record contributes, with N/A for absences."""
-    return dict(zip(DIMENSIONS, _labels(record)))
-
-
 def compare_note(
     gold: DiagnosisRecord | None, pred: DiagnosisRecord | None
 ) -> dict[Dimension, tuple[str, str]]:

@@ -21,7 +21,6 @@ from .model import (
     Stage,
     Statement,
     Subtype,
-    is_valid_record,
     join,
     legalized,
 )
@@ -102,9 +101,7 @@ def adjudicate(candidates: Sequence[DiagnosisRecord]) -> DiagnosisRecord | None:
         if c.subtype is not None:
             subtypes.add(c.subtype)
     subtype = subtypes.pop() if len(subtypes) == 1 else None
-    record = legalized(status, stage, grade, extent, subtype)
-    assert is_valid_record(record)
-    return record
+    return legalized(status, stage, grade, extent, subtype)
 
 
 def classify_guideline_version(record: DiagnosisRecord) -> GuidelineVersion:

@@ -225,14 +225,16 @@ def parse_label_trailer(text: str) -> tuple[str, DiagnosisRecord | None]:
 def read_prompt_sections(path) -> PromptSections:
     """Read a plain-text prompt file with [rules] / [components] / [labeling] headers.
 
-    A file that is not UTF-8, an unknown or repeated header, or a missing
-    section raises ValueError naming the path (and the header's line).
+    A file that cannot be read or is not UTF-8, an unknown or repeated header,
+    or a missing section raises ValueError naming the path (and the header's line).
     """
     names = [f.name for f in fields(PromptSections)]
     sections: dict[str, list[str]] = {}
     current: str | None = None
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read prompt file: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: prompt file is not UTF-8: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):

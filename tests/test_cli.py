@@ -507,6 +507,15 @@ def test_split_450(tmp_path, template_file, capsys):
     assert manifest.sizes() == (360, 45, 45)
 
 
+def test_split_too_few_notes_is_a_data_failure(tmp_path, capsys):
+    corpus = tmp_path / "two.jsonl"
+    write_corpus([AnnotatedNote(note=Note(f"n-{i}", "site1", "text")) for i in range(2)], corpus)
+    manifest = tmp_path / "m.json"
+    assert run("split", corpus, manifest, "--seed", 1) == 1
+    assert capsys.readouterr().err == "error: cannot split 2 notes into 3 partitions\n"
+    assert not manifest.exists()
+
+
 def test_split_zero_ratio_is_usage_error(tmp_path, template_file):
     synth_out = tmp_path / "synth.jsonl"
     run("synth", "--offline", "--templates", template_file, "--seed", 7,

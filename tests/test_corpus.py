@@ -3,7 +3,7 @@ import os
 import stat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import legal_records
@@ -16,8 +16,10 @@ from perioparse.corpus import (
     PatientMeta,
     Provenance,
     cohort_filter,
+    load_external_predictions,
     read_corpus,
     read_manifest,
+    read_patient_meta,
     record_from_obj,
     record_to_obj,
     span_from_obj,
@@ -121,6 +123,41 @@ def test_malformed_line_reports_line_number(tmp_path):
     path.write_text(good + "\n" + '{"note_id": "b", "truncated...\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=":2"):
         read_corpus(path)
+
+
+_NOT_OBJECTS = [
+    pytest.param("5", "5", id="int"),
+    pytest.param("[1]", "[1]", id="list"),
+    pytest.param('"x"', "'x'", id="str"),
+    pytest.param("null", "None", id="null"),
+]
+
+
+@pytest.mark.parametrize("line, shown", _NOT_OBJECTS)
+@pytest.mark.parametrize(
+    "read, what",
+    [
+        (read_corpus, "record"),
+        (read_patient_meta, "meta record"),
+        (lambda path: load_external_predictions(path, []), "prediction record"),
+    ],
+    ids=["corpus", "meta", "prediction"],
+)
+def test_a_line_that_is_not_a_json_object_is_malformed(tmp_path, read, what, line, shown):
+    path = tmp_path / "in.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:1: malformed {what}: line must be dict, got {shown}"
+
+
+@pytest.mark.parametrize("text, shown", _NOT_OBJECTS)
+def test_a_manifest_that_is_not_a_json_object_is_malformed(tmp_path, text, shown):
+    path = tmp_path / "m.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        read_manifest(path)
+    assert str(info.value) == f"{path}: malformed manifest: manifest must be dict, got {shown}"
 
 
 def test_duplicate_note_id_is_named(tmp_path):
@@ -273,6 +310,16 @@ def test_split_disjoint_and_covering(n, seed):
     train, val, test = manifest.sizes()
     assert train + val + test == n
     assert val == n // 10 and test == n // 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.tuples(*[st.integers(1, 40)] * 3), n=st.integers(min_value=3, max_value=1000))
+@example(weights=(70, 1, 29), n=100)  # 0.29 * 100 == 28.999999999999996
+def test_split_sizes_of_whole_number_weights(weights, n):
+    a, b, c = weights
+    ratios = tuple(w / (a + b + c) for w in weights)  # as `split --ratios a:b:c` makes them
+    manifest = split_corpus([make_note(f"n-{i}") for i in range(n)], ratios=ratios, seed=0)
+    assert manifest.sizes()[1:] == (n * b // (a + b + c), n * c // (a + b + c))
 
 
 def test_split_errors():

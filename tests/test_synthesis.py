@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -227,6 +228,12 @@ def test_read_prompt_sections(tmp_path):
     (tmp_path / "missing.txt").write_text("[rules]\nonly\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing sections"):
         read_prompt_sections(tmp_path / "missing.txt")
+
+
+def test_read_prompt_sections_names_a_file_it_cannot_read(tmp_path):
+    path = tmp_path / "absent.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot read prompt file: "):
+        read_prompt_sections(path)
 
 
 # --------------------------------------------------------------------------
