@@ -25,6 +25,7 @@ from .model import (
     Dimension,
     EntitySpan,
     PeriodontalStatus,
+    field_values,
     span_violations,
     validate_record,
 )
@@ -162,33 +163,32 @@ def _spans_from_objs(obj: dict, text: str) -> tuple[EntitySpan, ...]:
 def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
     if record is None:
         return None
-    obj = {}
-    for name in FIELD_NAMES.values():
-        value = getattr(record, name)
-        obj[name] = value.value if value is not None else None
-    return obj
-
-
-# (field name, value enum) of each optional record field, in field order.
-_OPTIONAL_FIELDS = tuple((FIELD_NAMES[dim], VALUE_CLASSES[dim]) for dim in DIMENSIONS[1:])
+    return dict(zip(FIELD_NAMES.values(), field_values(record)))
 
 
 #: Each of the 76 legal records, keyed by its serialized field values in field order.
-_LEGAL_RECORDS = {tuple(record_to_obj(record).values()): record for record in LEGAL_RECORDS}
+_LEGAL_RECORDS = {field_values(record): record for record in LEGAL_RECORDS}
+
+#: The keys a record object may hold.
+_RECORD_KEYS = frozenset(FIELD_NAMES.values())
 
 
 def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
+    """Decode a record object; a key other than the five field names is malformed."""
     if obj is None:
         return None
     try:
-        return _LEGAL_RECORDS[tuple(map(obj.get, FIELD_NAMES.values()))]
+        if _RECORD_KEYS.issuperset(obj):
+            return _LEGAL_RECORDS[tuple(map(obj.get, FIELD_NAMES.values()))]
     except (AttributeError, KeyError, TypeError):
-        pass  # not a legal record: decode it field by field for the exact error
+        pass  # not a legal record of known fields: decode it field by field for the exact error
     status = PeriodontalStatus(obj["status"])
-    optional = [
-        None if (raw := obj.get(name)) is None else cls(raw) for name, cls in _OPTIONAL_FIELDS
-    ]
-    record = DiagnosisRecord(status, *optional)
+    if unknown := [key for key in obj if key not in _RECORD_KEYS]:
+        raise ValueError(f"unknown record field {unknown[0]!r}")
+    record = DiagnosisRecord(status, *(
+        None if (raw := obj.get(FIELD_NAMES[dim])) is None else VALUE_CLASSES[dim](raw)
+        for dim in DIMENSIONS[1:]
+    ))
     problems = validate_record(record)
     if problems:
         raise ValueError("; ".join(problems))
@@ -281,13 +281,10 @@ def atomic_write_text(path, text) -> None:
 
 
 def unique_notes(notes, what: str = "corpus", error=ValueError):
-    """Yield each note, raising `error` at the first whose note id occurs a second time.
-
-    A note is an annotated note or a bare `Note`.
-    """
+    """Yield each annotated note, raising `error` at the first whose note id repeats."""
     seen = set()
     for n in notes:
-        note_id = getattr(n, "note", n).note_id
+        note_id = n.note.note_id
         if note_id in seen:
             raise error(f"duplicate note_id {note_id!r} in {what}")
         seen.add(note_id)
@@ -404,7 +401,7 @@ def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
     the evaluation partitions stay at exactly their nominal fraction.
     """
     _check_ratios(ratios)
-    ids = [getattr(n, "note", n).note_id for n in unique_notes(notes)]
+    ids = [n.note.note_id for n in unique_notes(notes)]
     if len(ids) < len(PARTITIONS):
         raise ValueError(
             f"cannot split {len(ids)} notes into {len(PARTITIONS)} partitions"

@@ -15,19 +15,16 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .corpus import unique_notes
-from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension
+from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension, field_values
 
 NA = "N/A"
 
 
 @functools.cache
 def _labels(record: DiagnosisRecord | None) -> tuple[str, ...]:
-    """A record's class labels in `DIMENSIONS` order, N/A for absences, read from its fields.
-
-    A status and four optional small enums make at most 720 records, so the cache stays small.
-    """
-    values = (record.value_for(dim) if record is not None else None for dim in DIMENSIONS)
-    return tuple(NA if value is None else value.value for value in values)
+    """A record's class labels: its `field_values`, N/A for absences; five N/As for no record."""
+    values = (None,) * len(DIMENSIONS) if record is None else field_values(record)
+    return tuple(NA if value is None else value for value in values)
 
 
 def compare_note(

@@ -2,8 +2,10 @@
 
 The five diagnosis dimensions (status, stage, grade, extent, subtype) follow
 the 2018 AAP/EFP classification. Every type here is an immutable value and
-safe to share across threads. `legalized` (and so `normalization.adjudicate`)
-returns one of the shared instances in `LEGAL_RECORDS`, never a new record.
+safe to share across threads. `validate_record` reads the one legality table,
+`LEGAL_DIMENSIONS`; `legalized` (and so `normalization.adjudicate`) returns one
+of the shared instances in `LEGAL_RECORDS`, never a new record. The corpus
+codec and the scorer spell a record's fields through `field_values` alone.
 """
 
 from __future__ import annotations
@@ -123,16 +125,6 @@ LEGAL_DIMENSIONS: dict[PeriodontalStatus, tuple[Dimension, ...]] = {
     PeriodontalStatus.HEALTH: (Dimension.STATUS, Dimension.SUBTYPE),
 }
 
-# (field name, violation message) of each dimension a status may not fill.
-_FORBIDDEN_FIELDS = {
-    status: tuple(
-        (FIELD_NAMES[dim], f"{FIELD_NAMES[dim]} not permitted for {status.value.lower()}")
-        for dim in DIMENSIONS
-        if dim not in legal
-    )
-    for status, legal in LEGAL_DIMENSIONS.items()
-}
-
 
 def join(a, b):
     """Join of two optional values of one ordered enum; absent is the bottom element.
@@ -169,15 +161,25 @@ def validate_record(record: DiagnosisRecord) -> list[str]:
 
     Violations are data, not faults: callers decide whether to raise.
     """
-    violations: list[str] = []
-    for name, message in _FORBIDDEN_FIELDS[record.status]:
-        if getattr(record, name) is not None:
-            violations.append(message)
-    return violations
+    legal = LEGAL_DIMENSIONS[record.status]
+    return [
+        f"{FIELD_NAMES[dim]} not permitted for {record.status.value.lower()}"
+        for dim in DIMENSIONS if dim not in legal and record.value_for(dim) is not None
+    ]
 
 
 def is_valid_record(record: DiagnosisRecord) -> bool:
     return not validate_record(record)
+
+
+@functools.cache
+def field_values(record: DiagnosisRecord) -> tuple[str | None, ...]:
+    """A record's field values as strings in `DIMENSIONS` order, None where a field is blank.
+
+    At most 720 records exist, so the cache stays small.
+    """
+    values = (record.value_for(dim) for dim in DIMENSIONS)
+    return tuple(None if value is None else value.value for value in values)
 
 
 #: The 76 records LEGAL_DIMENSIONS allows: each field a status may fill, absent or set.

@@ -932,12 +932,14 @@ def test_extract_and_evaluate_memory_does_not_grow_with_the_corpus(tmp_path):
         ("spans", [5], "spans[0] must be dict, got 5"),
         ("record", 5, "record must be dict, got 5"),
         ("record", [], "record must be dict, got []"),
+        ("record", {"status": "Health", "subtpye": "Intact Periodontium"},
+         "unknown record field 'subtpye'"),
         ("meta", "x", "meta must be dict, got 'x'"),
         ("meta", [], "meta must be dict, got []"),
     ],
     ids=["version-zero", "version-empty", "version-false", "version-unknown", "qa-int", "qa-list",
          "spans-object", "spans-string", "spans-null", "spans-int-item", "record-int",
-         "record-list", "meta-string", "meta-list"],
+         "record-list", "record-unknown-field", "meta-string", "meta-list"],
 )
 def test_corpus_optional_fields_are_checked(tmp_path, capsys, field, value, reason):
     good = tmp_path / "good.jsonl"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import legal_records
-from perioparse import corpus
+from perioparse import corpus, evaluation
 from perioparse.corpus import (
     AnnotatedNote,
     AnnotationSource,
@@ -28,12 +28,16 @@ from perioparse.corpus import (
     write_manifest,
 )
 from perioparse.model import (
+    LEGAL_RECORDS,
     VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
+    Extent,
+    Grade,
     PeriodontalStatus,
     Stage,
+    field_values,
 )
 
 
@@ -255,10 +259,16 @@ def test_lookup_tables_decode_like_the_field_by_field_path(monkeypatch):
         ({"status": "Health", "subtype": ["x"]}, None, "['x'] is not a valid Subtype"),
         (None, {"dimension": "Stage", "value": "V"}, "'V' is not a valid Stage"),
         (None, {"dimension": ["Stage"], "value": "I"}, "['Stage'] is not a valid Dimension"),
+        # Read as records without that field, these would lose it unseen.
+        ({"status": "Periodontitis", "stag": "III", "grade": "B"}, None,
+         "unknown record field 'stag'"),
+        ({"status": "Health", "Subtype": "Intact Periodontium"}, None,
+         "unknown record field 'Subtype'"),
     ],
     ids=[
         "health-with-stage", "unknown-stage", "missing-status", "unhashable-subtype",
-        "unknown-span-value", "unhashable-span-dimension",
+        "unknown-span-value", "unhashable-span-dimension", "misspelled-stage",
+        "capitalized-subtype",
     ],
 )
 def test_decode_error_text_is_pinned(tmp_path, record, span, expected):
@@ -276,6 +286,21 @@ def test_decode_error_text_is_pinned(tmp_path, record, span, expected):
     with pytest.raises(CorpusFormatError) as info:
         read_corpus(path)
     assert str(info.value) == f"{path}:1: malformed record: {expected}"
+
+
+def test_codec_and_scorer_spell_a_record_through_field_values():
+    illegal = DiagnosisRecord(PeriodontalStatus.GINGIVITIS, stage=Stage.I)
+    for r in (*LEGAL_RECORDS, illegal):
+        values = tuple(record_to_obj(r).values())
+        assert values == field_values(r)
+        assert evaluation._labels(r) == tuple(evaluation.NA if v is None else v for v in values)
+        if r is not illegal:
+            assert corpus._LEGAL_RECORDS[field_values(r)] is r
+    assert evaluation._labels(None) == (evaluation.NA,) * 5
+    assert field_values(
+        DiagnosisRecord(PeriodontalStatus.PERIODONTITIS, Stage.III, Grade.B, Extent.GENERALIZED)
+    ) == ("Periodontitis", "III", "B", "Generalized", None)
+    assert field_values(illegal) == ("Gingivitis", "I", None, None, None)
 
 
 # --------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def test_validate_record_full_product_against_legality_predicate():
             return stage is None and grade is None
         return stage is None and grade is None and extent is None
 
+    # The fields `legal` forbids each status: setting one alone breaks it.
+    every = dict(stage=Stage.I, grade=Grade.A, extent=Extent.LOCALIZED,
+                 subtype=Subtype.INTACT_PERIODONTIUM)
+    forbidden = {
+        status: [name for name in every if not legal(status, **{
+            **dict.fromkeys(every), name: every[name]})]
+        for status in PeriodontalStatus
+    }
     shared = {id(record) for record in LEGAL_RECORDS}
     inputs = 0
     for status in PeriodontalStatus:
@@ -126,6 +134,12 @@ def test_validate_record_full_product_against_legality_predicate():
                         assert is_valid_record(record) == legal(
                             status, stage, grade, extent, subtype
                         )
+                        set_fields = dict(stage=stage, grade=grade, extent=extent,
+                                          subtype=subtype)
+                        assert validate_record(record) == [
+                            f"{name} not permitted for {status.value.lower()}"
+                            for name in forbidden[status] if set_fields[name] is not None
+                        ]
                         kept = legalized(status, stage, grade, extent, subtype)
                         inputs += 1
                         assert id(kept) in shared  # one shared instance per legal record

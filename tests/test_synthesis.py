@@ -215,6 +215,12 @@ def test_trailer_missing_or_garbled_yields_none():
     assert parse_label_trailer("body\nLABELS: {not json")[1] is None
 
 
+def test_trailer_with_a_misspelled_field_yields_none():
+    # Read as a record without that field, the trailer would lose its grade unseen.
+    text = 'body\nLABELS: {"status": "Periodontitis", "stage": "II", "grde": "B"}'
+    assert parse_label_trailer(text) == ("body", None)
+
+
 def test_read_prompt_sections(tmp_path):
     path = tmp_path / "prompt.txt"
     path.write_text(
