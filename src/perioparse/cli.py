@@ -18,7 +18,6 @@ line. The README's file-format section names the paths that hold a corpus.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import math
@@ -55,7 +54,6 @@ from .reporting import (
 from .synthesis import (
     DEFAULT_PROMPT_SECTIONS,
     PERTURBATION_RATES,
-    VARIANTS_PER_TEMPLATE,
     PerturbationSpec,
     iter_offline,
     read_prompt_sections,
@@ -163,26 +161,25 @@ def _cmd_synth(args) -> int:
                 raise UsageError("--per-category works only with --corpus")
             if args.per_category < 1:
                 raise UsageError(f"--per-category must be at least 1, got {args.per_category}")
-        config = read_config(args.config) if args.config else {}
-        prompt_file = config.get("prompt_file")
+        # The prompt file and the rates come out of the config; the rest are generation settings.
+        settings = read_config(args.config) if args.config else {}
+        prompt_file = settings.pop("prompt_file", None)
         sections = read_prompt_sections(prompt_file) if prompt_file else DEFAULT_PROMPT_SECTIONS
-        variants = args.variants
-        if variants is None:
-            variants = config.get("variants_per_template", VARIANTS_PER_TEMPLATE)
         # Both engines' specs are built, so every config value is checked whichever runs.
-        rates = {key: config[key] for key in PERTURBATION_RATES if key in config}
+        rates = {key: settings.pop(key) for key in PERTURBATION_RATES if key in settings}
         perturb = PerturbationSpec(rng_seed=args.seed, **rates)
-        fields = {f.name for f in dataclasses.fields(GenerationConfig)}
-        settings = {key: value for key, value in config.items() if key in fields}
+        if args.variants is not None:
+            settings["variants_per_template"] = args.variants
         service = dict.fromkeys(("model_name", "endpoint_url"), "")  # required with --online
-        gen_config = GenerationConfig(**{**service, **settings, "variants_per_template": variants})
+        gen_config = GenerationConfig(**{**service, **settings})
         if args.offline:
             generate = functools.partial(
-                iter_offline, variants_per_template=variants, perturb=perturb
+                iter_offline, variants_per_template=gen_config.variants_per_template,
+                perturb=perturb,
             )
         else:
             for key in service:
-                if key not in config:
+                if key not in settings:
                     raise UsageError(f"--online requires {key!r} in the config file")
             generate = functools.partial(generate_llm, config=gen_config, sections=sections)
     except ValueError as exc:

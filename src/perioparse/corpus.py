@@ -12,6 +12,7 @@ import math
 import os
 import random
 import typing
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -326,7 +327,7 @@ def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tu
                     json.dumps(obj, ensure_ascii=False).encode("utf-8")
                 note_id = _field(obj, "note_id", str)
                 value = decode(obj)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             if note_id in seen:
                 raise error(f"{path}:{lineno}: duplicate note_id {note_id!r}")
@@ -376,10 +377,9 @@ class SplitManifest:
     membership: dict[str, str]
 
     def sizes(self) -> tuple[int, int, int]:
-        counts = {p: 0 for p in PARTITIONS}
-        for part in self.membership.values():
-            counts[part] += 1
-        return counts["train"], counts["validation"], counts["test"]
+        """Note counts per partition, in `PARTITIONS` order."""
+        counts = Counter(self.membership.values())
+        return tuple(counts[p] for p in PARTITIONS)
 
 
 def _check_ratios(ratios) -> None:
@@ -407,22 +407,11 @@ def split_corpus(notes, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
             f"cannot split {len(ids)} notes into {len(PARTITIONS)} partitions"
         )
 
-    n = len(ids)
-    n_val = math.floor(ratios[1] * n + 1e-9)
-    n_test = math.floor(ratios[2] * n + 1e-9)
-    n_train = n - n_val - n_test
-
-    shuffled = list(ids)
-    random.Random(seed).shuffle(shuffled)
-    membership: dict[str, str] = {}
-    for idx, nid in enumerate(shuffled):
-        if idx < n_train:
-            membership[nid] = "train"
-        elif idx < n_train + n_val:
-            membership[nid] = "validation"
-        else:
-            membership[nid] = "test"
-    return SplitManifest(seed=seed, ratios=tuple(ratios), membership=membership)
+    held_out = [math.floor(r * len(ids) + 1e-9) for r in ratios[1:]]
+    sizes = (len(ids) - sum(held_out), *held_out)
+    random.Random(seed).shuffle(ids)
+    labels = (part for part, size in zip(PARTITIONS, sizes) for _ in range(size))
+    return SplitManifest(seed=seed, ratios=tuple(ratios), membership=dict(zip(ids, labels)))
 
 
 def write_manifest(manifest: SplitManifest, path) -> None:
@@ -453,5 +442,5 @@ def read_manifest(path) -> SplitManifest:
                 ratios=tuple(map(float, ratios)),
                 membership=membership,
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CorpusFormatError(f"{path}: malformed manifest: {exc}") from exc

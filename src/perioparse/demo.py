@@ -11,9 +11,10 @@ import random
 
 from .corpus import AnnotatedNote, AnnotationSource, Provenance
 from .model import (
-    DIMENSION_VALUES,
     FIELD_NAMES,
     LEGAL_DIMENSIONS,
+    STATUSES_BY_SEVERITY,
+    VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
     PeriodontalStatus,
@@ -25,7 +26,7 @@ def _demo_record(status: PeriodontalStatus, i: int) -> DiagnosisRecord:
     """The i-th demo record of a status: each field it may carry cycles through its values."""
     fields = {}
     for dim in LEGAL_DIMENSIONS[status][1:]:
-        values = DIMENSION_VALUES[dim]
+        values = tuple(VALUE_CLASSES[dim])
         # Gingivitis extents run one step ahead of periodontitis extents.
         shift = dim is Dimension.EXTENT and status is PeriodontalStatus.GINGIVITIS
         fields[FIELD_NAMES[dim]] = values[(i + shift) % len(values)]
@@ -35,11 +36,7 @@ def _demo_record(status: PeriodontalStatus, i: int) -> DiagnosisRecord:
 def demo_seed_notes(per_category: int = 15, site_id: str = "site1") -> list[AnnotatedNote]:
     """A gold-annotated corpus of clean notes, per_category per status."""
     notes = []
-    for status, code in (
-        (PeriodontalStatus.PERIODONTITIS, "p"),
-        (PeriodontalStatus.GINGIVITIS, "g"),
-        (PeriodontalStatus.HEALTH, "h"),
-    ):
+    for status, code in zip(STATUSES_BY_SEVERITY, "pgh"):
         for i in range(per_category):
             record = _demo_record(status, i)
             note_id = f"seed-{code}-{i:02d}"

@@ -15,7 +15,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .corpus import unique_notes
-from .model import DIMENSION_VALUES, DIMENSIONS, DiagnosisRecord, Dimension, field_values
+from .model import (
+    DIMENSIONS, STATUSES_BY_SEVERITY, VALUE_CLASSES, DiagnosisRecord, Dimension, field_values,
+)
 
 NA = "N/A"
 
@@ -35,7 +37,8 @@ def compare_note(
 
 
 def dimension_classes(dimension: Dimension) -> tuple[str, ...]:
-    return tuple(v.value for v in DIMENSION_VALUES[dimension]) + (NA,)
+    values = STATUSES_BY_SEVERITY if dimension is Dimension.STATUS else VALUE_CLASSES[dimension]
+    return tuple(v.value for v in values) + (NA,)
 
 
 @dataclass

@@ -95,7 +95,7 @@ def _complete(
             raise GenerationError(f"endpoint rejected request: HTTP {status}")
         try:
             content = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise GenerationError(f"malformed completion payload: {exc}") from exc
         if not isinstance(content, str):
             raise GenerationError(

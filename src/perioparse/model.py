@@ -6,6 +6,7 @@ safe to share across threads. `validate_record` reads the one legality table,
 `LEGAL_DIMENSIONS`; `legalized` (and so `normalization.adjudicate`) returns one
 of the shared instances in `LEGAL_RECORDS`, never a new record. The corpus
 codec and the scorer spell a record's fields through `field_values` alone.
+`STATUSES_BY_SEVERITY` is the one severity order (most severe first).
 """
 
 from __future__ import annotations
@@ -104,12 +105,8 @@ VALUE_CLASSES = {
     Dimension.SUBTYPE: Subtype,
 }
 
-#: Value enum members of each dimension, in canonical class order
-#: (statuses from most to least severe).
-DIMENSION_VALUES = {
-    dim: tuple(reversed(cls)) if dim is Dimension.STATUS else tuple(cls)
-    for dim, cls in VALUE_CLASSES.items()
-}
+#: The statuses, most severe first: the order of reports, template sampling and the demo corpus.
+STATUSES_BY_SEVERITY = tuple(reversed(PeriodontalStatus))
 
 #: Record field holding each dimension's value, in dimension order.
 FIELD_NAMES = {dim: dim.value.lower() for dim in DIMENSIONS}

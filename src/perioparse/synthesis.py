@@ -30,6 +30,7 @@ from .model import (
     DIMENSIONS,
     FIELD_NAMES,
     LEGAL_DIMENSIONS,
+    STATUSES_BY_SEVERITY,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -113,11 +114,7 @@ def select_seed_templates(
 
     rng = random.Random(seed)
     templates: list[SeedTemplate] = []
-    for status in (
-        PeriodontalStatus.PERIODONTITIS,
-        PeriodontalStatus.GINGIVITIS,
-        PeriodontalStatus.HEALTH,
-    ):
+    for status in STATUSES_BY_SEVERITY:
         pool = pools[status]
         if len(pool) < per_category:
             raise TemplateSelectionError(
@@ -216,7 +213,7 @@ def parse_label_trailer(text: str) -> tuple[str, DiagnosisRecord | None]:
             payload = lines[idx].strip()[len(TRAILER_PREFIX) :].strip()
             try:
                 record = record_from_obj(json.loads(payload))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 record = None
             return body, record
     return text, None

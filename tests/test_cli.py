@@ -180,6 +180,26 @@ def test_synth_selection_path(tmp_path, capsys):
     assert len(read_corpus(out)) == 90
 
 
+@pytest.mark.parametrize(
+    "config_text, flags, expected",
+    [
+        ("variants_per_template = 3\n", [], 135),
+        ("variants_per_template = 3\n", ["--variants", 2], 90),
+        ("", [], 450),
+    ],
+    ids=["config", "flag-overrides-config", "default"],
+)
+def test_variants_flag_overrides_config(tmp_path, template_file, config_text, flags, expected):
+    config = tmp_path / "gen.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "synth.jsonl"
+    assert run(
+        "synth", "--offline", "--templates", template_file, "--seed", 7, "--config", config,
+        *flags, "--out", out,
+    ) == 0
+    assert len(read_corpus(out)) == expected
+
+
 def test_synth_requires_seed_for_offline(tmp_path, template_file):
     assert run(
         "synth", "--offline", "--templates", template_file, "--out", tmp_path / "x.jsonl"
@@ -301,6 +321,32 @@ def test_synth_online_completion_without_text_is_one_error_line(
     assert len(err) == 1
     assert err[0].startswith("error: template ")
     assert "malformed completion payload: content must be a string, got None" in err[0]
+    assert not out.exists()
+
+
+def test_synth_online_completion_nested_too_deeply_is_one_error_line(
+    tmp_path, template_file, monkeypatch, capsys
+):
+    from test_llm import MockEndpoint
+
+    monkeypatch.setenv("OPENAI_API_KEY", "key")
+    endpoint = MockEndpoint(trailer_mode="deep")
+    try:
+        config = tmp_path / "gen.cfg"
+        config.write_text(
+            f"model_name = gpt-test\nendpoint_url = {endpoint.url}\n", encoding="utf-8"
+        )
+        out = tmp_path / "online.jsonl"
+        assert run(
+            "synth", "--online", "--templates", template_file, "--config", config,
+            "--variants", 1, "--out", out,
+        ) == 1
+    finally:
+        endpoint.close()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: template ")
+    assert "malformed completion payload: " in err[0]
     assert not out.exists()
 
 
@@ -514,6 +560,19 @@ def test_split_too_few_notes_is_a_data_failure(tmp_path, capsys):
     assert run("split", corpus, manifest, "--seed", 1) == 1
     assert capsys.readouterr().err == "error: cannot split 2 notes into 3 partitions\n"
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize("command", ["split", "evaluate"])
+def test_a_corpus_line_nested_too_deeply_is_a_data_failure(tmp_path, capsys, command):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"split": [deep, out, "--seed", 1], "evaluate": [deep, deep, out]}[command]
+    assert run(command, *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {deep}:1: malformed record: ")
+    assert not out.exists()
 
 
 def test_split_zero_ratio_is_usage_error(tmp_path, template_file):

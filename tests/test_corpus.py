@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import stat
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import legal_records
 from perioparse import corpus, evaluation
 from perioparse.corpus import (
+    PARTITIONS,
     AnnotatedNote,
     AnnotationSource,
     CorpusFormatError,
@@ -162,6 +164,36 @@ def test_a_manifest_that_is_not_a_json_object_is_malformed(tmp_path, text, shown
     with pytest.raises(CorpusFormatError) as info:
         read_manifest(path)
     assert str(info.value) == f"{path}: malformed manifest: manifest must be dict, got {shown}"
+
+
+# Nested deeper than the JSON decoder recurses. The text after the location
+# prefix is CPython's wording, which differs between versions.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "read, what",
+    [
+        (read_corpus, "record"),
+        (read_patient_meta, "meta record"),
+        (lambda path: load_external_predictions(path, []), "prediction record"),
+    ],
+    ids=["corpus", "meta", "prediction"],
+)
+def test_a_line_nested_too_deeply_is_malformed(tmp_path, read, what):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(_DEEP + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}:1: malformed {what}: ")
+
+
+def test_a_manifest_nested_too_deeply_is_malformed(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"seed": 1, "ratios": {_DEEP}, "membership": {{}}}}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        read_manifest(path)
+    assert str(info.value).startswith(f"{path}: malformed manifest: ")
 
 
 def test_duplicate_note_id_is_named(tmp_path):
@@ -345,6 +377,31 @@ def test_split_sizes_of_whole_number_weights(weights, n):
     ratios = tuple(w / (a + b + c) for w in weights)  # as `split --ratios a:b:c` makes them
     manifest = split_corpus([make_note(f"n-{i}") for i in range(n)], ratios=ratios, seed=0)
     assert manifest.sizes()[1:] == (n * b // (a + b + c), n * c // (a + b + c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.tuples(*[st.integers(1, 40)] * 3),
+    n=st.integers(min_value=3, max_value=1000),
+    seed=st.integers(0, 2**31),
+)
+def test_split_membership_against_reference(weights, n, seed):
+    total = sum(weights)
+    ratios = tuple(w / total for w in weights)
+    ids = [f"n-{i}" for i in range(n)]
+    manifest = split_corpus([make_note(nid) for nid in ids], ratios=ratios, seed=seed)
+    # Reference: shuffle the ids, then train, validation and test take consecutive runs.
+    random.Random(seed).shuffle(ids)
+    n_val, n_test = n * weights[1] // total, n * weights[2] // total
+    n_train = n - n_val - n_test
+    expected = (
+        [(nid, "train") for nid in ids[:n_train]]
+        + [(nid, "validation") for nid in ids[n_train : n_train + n_val]]
+        + [(nid, "test") for nid in ids[n_train + n_val :]]
+    )
+    assert list(manifest.membership.items()) == expected
+    parts = list(manifest.membership.values())
+    assert manifest.sizes() == tuple(parts.count(p) for p in PARTITIONS)
 
 
 def test_split_errors():

@@ -113,6 +113,15 @@ def test_classes_include_na_last():
         "Health",
         NA,
     )
+    assert dimension_classes(Dimension.STAGE) == ("I", "II", "III", "IV", NA)
+    assert dimension_classes(Dimension.GRADE) == ("A", "B", "C", NA)
+    assert dimension_classes(Dimension.EXTENT) == ("Localized", "Generalized", NA)
+    assert dimension_classes(Dimension.SUBTYPE) == (
+        "Intact Periodontium",
+        "Reduced Periodontium, Stable Periodontitis",
+        "Reduced Periodontium, Non-Periodontitis",
+        NA,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -34,10 +34,14 @@ class MockEndpoint:
                     self.send_response(endpoint.fail_with)
                     self.end_headers()
                     return
-                content = endpoint.make_content(body)
-                payload = json.dumps(
-                    {"choices": [{"message": {"content": content}}]}
-                ).encode()
+                if endpoint.trailer_mode == "deep":
+                    # nested deeper than the JSON decoder recurses
+                    payload = ("[" * 100_000 + "]" * 100_000).encode()
+                else:
+                    content = endpoint.make_content(body)
+                    payload = json.dumps(
+                        {"choices": [{"message": {"content": content}}]}
+                    ).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
@@ -236,6 +240,19 @@ def test_completion_content_that_is_no_string_is_malformed(api_key, mode, shown)
         with pytest.raises(
             GenerationError, match=f"malformed completion payload: content must be a string, got {shown}"
         ):
+            generate_llm(templates, config)
+        assert len(ep.bodies) == 1  # a malformed payload is not retried
+    finally:
+        ep.close()
+
+
+def test_completion_payload_nested_too_deeply_is_malformed(api_key):
+    ep = MockEndpoint(trailer_mode="deep")
+    try:
+        templates = demo_seed_templates(1)[:1]
+        config = config_for(ep, variants_per_template=1, max_concurrent_requests=1)
+        # The text after the prefix is CPython's wording, which differs between versions.
+        with pytest.raises(GenerationError, match="malformed completion payload: "):
             generate_llm(templates, config)
         assert len(ep.bodies) == 1  # a malformed payload is not retried
     finally:

@@ -221,6 +221,11 @@ def test_trailer_with_a_misspelled_field_yields_none():
     assert parse_label_trailer(text) == ("body", None)
 
 
+def test_trailer_nested_too_deeply_yields_none():
+    # The JSON decoder gives up on this depth with RecursionError, not ValueError.
+    assert parse_label_trailer("body\nLABELS: " + "[" * 100_000) == ("body", None)
+
+
 def test_read_prompt_sections(tmp_path):
     path = tmp_path / "prompt.txt"
     path.write_text(
