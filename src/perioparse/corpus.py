@@ -430,9 +430,10 @@ def read_manifest(path) -> SplitManifest:
             if type(obj) is not dict:
                 raise ValueError(f"manifest must be dict, got {obj!r}")
             membership = _field(obj, "membership", dict)
-            bad = {p for p in membership.values()} - set(PARTITIONS)
+            bad = {repr(p): p for p in membership.values() if p not in PARTITIONS}.values()
             if bad:
-                raise ValueError(f"unknown partitions {sorted(bad)}")
+                bad = sorted(bad, key=lambda p: (0, p) if type(p) is str else (1, repr(p)))
+                raise ValueError(f"unknown partitions {bad}")
             ratios = _field(obj, "ratios", list)
             if len(ratios) != len(PARTITIONS) or {type(r) for r in ratios} - {int, float}:
                 raise ValueError(f"ratios must be {len(PARTITIONS)} numbers, got {ratios!r}")

@@ -113,24 +113,25 @@ class PRF:
     f1: float
 
 
+def _weighted_mean(metrics: Sequence[ClassMetrics], weights: Sequence[int]) -> PRF:
+    total = sum(weights)
+    return PRF(
+        sum(m.precision * w for m, w in zip(metrics, weights)) / total,
+        sum(m.recall * w for m, w in zip(metrics, weights)) / total,
+        sum(m.f1 * w for m, w in zip(metrics, weights)) / total,
+    )
+
+
 def averages(metrics: Sequence[ClassMetrics]) -> tuple[PRF | None, PRF | None]:
-    """(macro, weighted) over classes with support; absent when none have any."""
+    """(macro, weighted) over classes with support; absent when none have any.
+
+    The macro average is the weighted mean with unit weights; the weighted one weights by support.
+    """
     supported = [m for m in metrics if m.support > 0]
     if not supported:
         return None, None
-    n = len(supported)
-    macro = PRF(
-        sum(m.precision for m in supported) / n,
-        sum(m.recall for m in supported) / n,
-        sum(m.f1 for m in supported) / n,
-    )
-    total = sum(m.support for m in supported)
-    weighted = PRF(
-        sum(m.precision * m.support for m in supported) / total,
-        sum(m.recall * m.support for m in supported) / total,
-        sum(m.f1 * m.support for m in supported) / total,
-    )
-    return macro, weighted
+    supports = [m.support for m in supported]
+    return _weighted_mean(supported, [1] * len(supported)), _weighted_mean(supported, supports)
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,6 @@ class DimensionMetrics:
 class MetricsTable:
     site: str
     dimensions: tuple[DimensionMetrics, ...]
-
-    def for_dimension(self, dimension: Dimension) -> DimensionMetrics:
-        for dm in self.dimensions:
-            if dm.dimension is dimension:
-                return dm
-        raise KeyError(dimension)
 
 
 def _require_same_ids(gold_ids, pred_ids) -> None:
@@ -266,10 +261,12 @@ def learning_curve(
         raise ValueError(f"pool of {len(gold_notes)} notes is smaller than step {step}")
     pool = list(unique_notes(gold_notes, "gold pool"))
     random.Random(seed).shuffle(pool)
-
+    sizes = list(range(step, len(pool) + 1, step))
+    for n in pool[: sizes[-1]]:
+        if n.note.note_id not in pred_records:
+            raise ValueError(f"no prediction for note {n.note.note_id!r}")
     matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}
     points = []
-    sizes = list(range(step, len(pool) + 1, step))
     for size in sizes:
         added = ((n.record, pred_records[n.note.note_id]) for n in pool[size - step : size])
         table = _score(matrices, added, "pool")

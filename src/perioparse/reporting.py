@@ -3,7 +3,8 @@
 The text table mirrors the familiar grid: dimensions as rows with
 macro/weighted sub-rows, sites as columns under each metric, two-decimal
 rounding. CSV and JSON carry full precision. Chart payloads are plain JSON
-arrays any plotting tool can consume.
+arrays any plotting tool can consume. The text table, the CSV, the bar chart
+and the CLI summary read one walk over the averages, `average_rows`.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import json
 from .evaluation import ConfusionMatrix, LearningCurve, MetricsTable
 from .model import Dimension
 
-DIMENSION_TITLES = {
-    Dimension.STATUS: "Periodontal status",
-    Dimension.STAGE: "Stage",
-    Dimension.GRADE: "Grade",
-    Dimension.EXTENT: "Extent",
-    Dimension.SUBTYPE: "Subtype",
-}
+DIMENSION_TITLES = {dim: dim.value for dim in Dimension} | {Dimension.STATUS: "Periodontal status"}
 
 _METRIC_ATTRS = (("Precision", "precision"), ("Recall", "recall"), ("F1-score", "f1"))
 
@@ -45,35 +40,27 @@ def _fmt(value: float | None) -> str:
 
 
 def render_text_table(tables: list[MetricsTable]) -> str:
-    sites = [t.site for t in tables]
-    label_width = max(
-        [len("  Weighted")] + [len(DIMENSION_TITLES[d]) for d in DIMENSION_TITLES]
-    )
-    col = max([8] + [len(s) + 2 for s in sites])
-    group_width = col * len(sites)
+    label_width = max(map(len, ["  Weighted", *DIMENSION_TITLES.values()]))
+    col = max([8] + [len(t.site) + 2 for t in tables])
+    group_width = col * len(tables)
+    header1 = " " * label_width + "".join(name.center(group_width) for name, _ in _METRIC_ATTRS)
+    header2 = " " * label_width + "".join(t.site.rjust(col) for _ in _METRIC_ATTRS for t in tables)
+    lines = [header1.rstrip(), header2.rstrip()]
 
-    lines = []
-    header1 = " " * label_width + "".join(
-        name.center(group_width) for name, _ in _METRIC_ATTRS
-    )
-    header2 = " " * label_width + "".join(
-        site.rjust(col) for _ in _METRIC_ATTRS for site in sites
-    )
-    lines.append(header1.rstrip())
-    lines.append(header2.rstrip())
-
-    dimensions = tables[0].dimensions if tables else ()
-    for dm in dimensions:
-        lines.append(DIMENSION_TITLES[dm.dimension])
-        for avg_name, attr in (("Macro", "macro"), ("Weighted", "weighted")):
-            cells = []
-            for _, metric_attr in _METRIC_ATTRS:
-                for table in tables:
-                    prf = getattr(table.for_dimension(dm.dimension), attr)
-                    cells.append(
-                        _fmt(getattr(prf, metric_attr) if prf is not None else None).rjust(col)
-                    )
-            lines.append(f"  {avg_name}".ljust(label_width) + "".join(cells))
+    # (title, average) -> {table position: PRF or None}, rows in the order first met
+    rows: dict[tuple[str, str], dict] = {}
+    for position, table in enumerate(tables):
+        for _, title, avg_name, prf in average_rows([table]):
+            rows.setdefault((title, avg_name), {})[position] = prf
+    for (title, avg_name), prfs in rows.items():
+        if avg_name == "macro":
+            lines.append(title)
+        cells = [
+            _fmt(None if prfs[i] is None else getattr(prfs[i], attr)).rjust(col)
+            for _, attr in _METRIC_ATTRS
+            for i in range(len(tables))
+        ]
+        lines.append(f"  {avg_name.capitalize()}".ljust(label_width) + "".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -444,6 +444,8 @@ def test_manifest_round_trip_and_byte_identical(tmp_path):
         ("ratios", [0.5, 0.5, 0.5], "ratios must sum to 1, got [0.5, 0.5, 0.5]"),
         ("ratios", [1.2, -0.1, -0.1], "ratios must all be positive, got [1.2, -0.1, -0.1]"),
         ("membership", [["n-0", "train"]], "membership must be dict, got [['n-0', 'train']]"),
+        ("membership", {"n-0": ["train"]}, "unknown partitions [['train']]"),
+        ("membership", {"n-0": 5, "n-1": "x"}, "unknown partitions ['x', 5]"),
     ],
 )
 def test_manifest_numbers_are_checked(tmp_path, field, value, reason):

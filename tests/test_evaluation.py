@@ -395,6 +395,18 @@ def test_learning_curve_labels_each_note_once(monkeypatch, step):
     assert len(calls) == 2 * len(scored)
 
 
+def test_learning_curve_names_a_note_with_no_prediction():
+    notes = _pool([FULL] * 45)
+    shuffled = list(notes)
+    random.Random(0).shuffle(shuffled)
+    preds = {n.note.note_id: FULL for n in shuffled[:30]}
+    learning_curve(notes, preds, step=30)  # the 15 notes past the last full step need none
+    missing = shuffled[29].note.note_id
+    del preds[missing]
+    with pytest.raises(ValueError, match=f"^no prediction for note '{missing}'$"):
+        learning_curve(notes, preds, step=30)
+
+
 def test_learning_curve_rejects_duplicate_note_ids():
     notes = _pool([FULL] * 30)
     preds = {n.note.note_id: FULL for n in notes}

@@ -13,6 +13,7 @@ from perioparse.evaluation import (
     evaluate_records,
 )
 from perioparse.model import (
+    DIMENSIONS,
     DiagnosisRecord,
     Dimension,
     Extent,
@@ -72,6 +73,26 @@ def test_text_table_grid_layout_and_rounding():
     assert "0.97" in status_weighted  # Site 1 weighted precision
     for dim_name in ("Stage", "Grade", "Extent", "Subtype"):
         assert any(l.startswith(dim_name) for l in lines)
+
+
+def _uniform_table(site, score):
+    prf = PRF(score, score, score)
+    return MetricsTable(site, tuple(DimensionMetrics(d, (), prf, prf) for d in DIMENSIONS))
+
+
+def test_text_table_gives_each_table_its_own_column_under_one_site_name():
+    text = render_report([_uniform_table("Site 1", 0.1), _uniform_table("Site 1", 0.9)], "text-table")
+    rows = [line.split()[1:] for line in text.splitlines()[2:] if line.startswith("  ")]
+    assert rows == [["0.10", "0.90"] * 3] * 10
+
+
+def test_text_table_matches_rows_by_dimension_not_position():
+    site1, site2 = paper_style_tables()
+    reordered = MetricsTable(site2.site, site2.dimensions[::-1])
+    expected = render_report([site1, site2], "text-table")
+    assert render_report([site1, reordered], "text-table") == expected
+    with pytest.raises(KeyError):
+        render_report([site1, MetricsTable(site2.site, site2.dimensions[1:])], "text-table")
 
 
 def test_empty_tables_render_header_only():
