@@ -14,7 +14,8 @@ import random
 import typing
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .model import (
@@ -22,10 +23,12 @@ from .model import (
     FIELD_NAMES,
     LEGAL_RECORDS,
     VALUE_CLASSES,
+    _SPAN_SLOTS,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
     PeriodontalStatus,
+    _slot_setters,
     field_values,
     span_violations,
     validate_record,
@@ -55,16 +58,28 @@ class AnnotationSource(enum.Enum):
     EMBEDDED = "Embedded"
 
 
-@dataclass(frozen=True)
+# Notes are built once per corpus line, so, like spans, their constructors
+# store through the slots and skip the frozen `__setattr__`.
+@dataclass(frozen=True, slots=True, init=False)
 class Note:
     note_id: str
     site_id: str
     text: str
     provenance: Provenance = Provenance.REAL
 
-    def __post_init__(self):
-        if not self.note_id:
+    def __init__(
+        self, note_id: str, site_id: str, text: str, provenance: Provenance = Provenance.REAL
+    ):
+        if not note_id:
             raise ValueError("note_id must be non-empty")
+        set_note_id, set_site_id, set_text, set_provenance = _NOTE_SLOTS
+        set_note_id(self, note_id)
+        set_site_id(self, site_id)
+        set_text(self, text)
+        set_provenance(self, provenance)
+
+
+_NOTE_SLOTS = _slot_setters(Note)
 
 
 @dataclass(frozen=True)
@@ -87,7 +102,7 @@ class PatientMeta:
 _META_TYPES = typing.get_type_hints(PatientMeta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AnnotatedNote:
     """A note plus its standoff spans and (optionally) a normalized record."""
 
@@ -99,8 +114,33 @@ class AnnotatedNote:
     guideline_version: GuidelineVersion | None = None
     qa: dict | None = None
 
+    def __init__(
+        self,
+        note: Note,
+        spans: tuple[EntitySpan, ...] = (),
+        record: DiagnosisRecord | None = None,
+        annotation_source: AnnotationSource = AnnotationSource.GOLD,
+        meta: PatientMeta | None = None,
+        guideline_version: GuidelineVersion | None = None,
+        qa: dict | None = None,
+    ):
+        set_note, set_spans, set_record, set_source, set_meta, set_gv, set_qa = _ANNOTATED_SLOTS
+        set_note(self, note)
+        set_spans(self, spans)
+        set_record(self, record)
+        set_source(self, annotation_source)
+        set_meta(self, meta)
+        set_gv(self, guideline_version)
+        set_qa(self, qa)
+
     def with_(self, **changes) -> "AnnotatedNote":
-        return replace(self, **changes)
+        """A copy with `changes` applied; a name that is not a field raises TypeError."""
+        return AnnotatedNote(**dict(zip(_ANNOTATED_FIELDS, _annotated_values(self)), **changes))
+
+
+_ANNOTATED_SLOTS = _slot_setters(AnnotatedNote)
+_ANNOTATED_FIELDS = tuple(f.name for f in fields(AnnotatedNote))
+_annotated_values = attrgetter(*_ANNOTATED_FIELDS)
 
 
 def cohort_filter(meta: PatientMeta) -> bool:
@@ -116,17 +156,16 @@ def cohort_filter(meta: PatientMeta) -> bool:
 # --------------------------------------------------------------------------
 # serialization
 
-def span_to_obj(span: EntitySpan) -> dict:
-    return {
-        "dimension": span.dimension.value,
-        "value": span.value.value,
-        "start": span.start,
-        "end": span.end,
-    }
-
-
 #: Every (dimension, value) string pair a span may carry -> its (Dimension, value member).
 _SPAN_LABELS = {(dim.value, v.value): (dim, v) for dim, cls in VALUE_CLASSES.items() for v in cls}
+
+#: Each (Dimension, value member) pair -> its (dimension, value) strings.
+_SPAN_STRINGS = {members: strings for strings, members in _SPAN_LABELS.items()}
+
+
+def span_to_obj(span: EntitySpan) -> dict:
+    dimension, value = _SPAN_STRINGS[span.dimension, span.value]
+    return {"dimension": dimension, "value": value, "start": span.start, "end": span.end}
 
 
 def span_from_obj(obj: dict, text: str) -> EntitySpan:
@@ -170,8 +209,9 @@ def record_to_obj(record: DiagnosisRecord | None) -> dict | None:
 #: Each of the 76 legal records, keyed by its serialized field values in field order.
 _LEGAL_RECORDS = {field_values(record): record for record in LEGAL_RECORDS}
 
-#: The keys a record object may hold.
-_RECORD_KEYS = frozenset(FIELD_NAMES.values())
+#: The keys a record object may hold, in field order.
+_RECORD_FIELDS = tuple(FIELD_NAMES.values())
+_RECORD_KEYS = frozenset(_RECORD_FIELDS)
 
 
 def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
@@ -180,12 +220,11 @@ def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
         return None
     try:
         if _RECORD_KEYS.issuperset(obj):
-            return _LEGAL_RECORDS[tuple(map(obj.get, FIELD_NAMES.values()))]
+            return _LEGAL_RECORDS[tuple(map(obj.get, _RECORD_FIELDS))]
     except (AttributeError, KeyError, TypeError):
         pass  # not a legal record of known fields: decode it field by field for the exact error
     status = PeriodontalStatus(obj["status"])
-    if unknown := [key for key in obj if key not in _RECORD_KEYS]:
-        raise ValueError(f"unknown record field {unknown[0]!r}")
+    _check_keys(obj, _RECORD_KEYS, "record field")
     record = DiagnosisRecord(status, *(
         None if (raw := obj.get(FIELD_NAMES[dim])) is None else VALUE_CLASSES[dim](raw)
         for dim in DIMENSIONS[1:]
@@ -194,6 +233,12 @@ def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
     if problems:
         raise ValueError("; ".join(problems))
     return record
+
+
+def _check_keys(obj: dict, keys, what: str) -> None:
+    """Raise at the first key of `obj` not in `keys`: a misspelled key is malformed, not dropped."""
+    if unknown := [key for key in obj if key not in keys]:
+        raise ValueError(f"unknown {what} {unknown[0]!r}")
 
 
 def _field(obj: dict, name: str, kind: type):
@@ -210,10 +255,24 @@ def _optional_field(obj: dict, name: str, kind: type):
 
 
 def _meta_from_obj(obj: dict | None) -> PatientMeta | None:
-    """Decode meta fields, which must be JSON integers and booleans as declared."""
+    """Decode meta fields, which must be JSON integers and booleans as declared.
+
+    Its caller checks the keys, after every other check of the line.
+    """
     if obj is None:
         return None
     return PatientMeta(**{name: _field(obj, name, kind) for name, kind in _META_TYPES.items()})
+
+
+#: The keys a meta-file line may hold.
+_META_LINE_KEYS = frozenset({"note_id", *_META_TYPES})
+
+
+def _meta_line_from_obj(obj: dict) -> PatientMeta:
+    """Decode a meta-file line: `note_id` and the four meta fields, no other key."""
+    meta = _meta_from_obj(obj)
+    _check_keys(obj, _META_LINE_KEYS, "meta field")
+    return meta
 
 
 def note_to_obj(annotated: AnnotatedNote) -> dict:
@@ -235,7 +294,90 @@ def note_to_obj(annotated: AnnotatedNote) -> dict:
     return obj
 
 
+#: The keys a corpus line may hold.
+_NOTE_KEYS = frozenset({
+    "note_id", "site_id", "text", "provenance", "annotation_source",
+    "spans", "record", "meta", "guideline_version", "qa",
+})
+
+#: Each enum's serialized values -> its members, for the one-pass decode.
+_PROVENANCES = {p.value: p for p in Provenance}
+_SOURCES = {s.value: s for s in AnnotationSource}
+_GUIDELINES = {g.value: g for g in GuidelineVersion}
+
+#: A span with empty slots, which the one-pass decode fills once it has checked them.
+_new_span = EntitySpan.__new__
+
+
 def note_from_obj(obj: dict) -> AnnotatedNote:
+    """Decode one corpus line, checked as `_note_from_fields` checks it.
+
+    The common line is decoded in one pass; any other is decoded field by
+    field, which raises the exact error or, for a line `_note_in_one_pass`
+    leaves to it, returns the same note.
+    """
+    try:
+        annotated = _note_in_one_pass(obj)
+    except (AttributeError, KeyError, TypeError):  # a missing key or an unhashable value
+        annotated = None
+    return _note_from_fields(obj) if annotated is None else annotated
+
+
+def _note_in_one_pass(obj: dict) -> AnnotatedNote | None:
+    """The line's note, built as its fields are checked; None if any check fails.
+
+    It checks what `_note_from_fields` checks, looking enum values, span
+    labels and records up in tables, and returns None (or raises a lookup
+    error) at the first failure, so it writes no message of its own. Spans
+    must come in order, and `meta` must be absent or null; other lines take
+    the long way.
+    """
+    text = obj["text"]
+    site_id = obj["site_id"]
+    record = obj.get("record")
+    raw_spans = obj.get("spans", [])
+    qa = obj.get("qa")
+    if not (
+        type(text) is str and type(site_id) is str and type(raw_spans) is list
+        and _NOTE_KEYS.issuperset(obj) and obj.get("meta") is None
+        and (qa is None or type(qa) is dict)
+        and (record is None or type(record) is dict and _RECORD_KEYS.issuperset(record))
+    ):
+        return None
+    note = Note(obj["note_id"], site_id, text, _PROVENANCES[obj["provenance"]])
+    set_dimension, set_value, set_start, set_end, set_raw_text = _SPAN_SLOTS
+    spans = []
+    end = 0
+    length = len(text)
+    for span in raw_spans:
+        start = span["start"]
+        if type(start) is not int or start < end:
+            return None
+        end = span["end"]
+        if type(end) is not int or end <= start or end > length:
+            return None
+        surface = text[start:end]
+        if "raw_text" in span and span["raw_text"] not in (None, surface):
+            return None
+        dimension, value = _SPAN_LABELS[span["dimension"], span["value"]]
+        decoded = _new_span(EntitySpan)
+        set_dimension(decoded, dimension)
+        set_value(decoded, value)
+        set_start(decoded, start)
+        set_end(decoded, end)
+        set_raw_text(decoded, surface)
+        spans.append(decoded)
+    if record is not None:
+        record = _LEGAL_RECORDS[tuple(map(record.get, _RECORD_FIELDS))]
+    source = _SOURCES[obj["annotation_source"]]
+    gv = obj.get("guideline_version")
+    if gv is not None:
+        gv = _GUIDELINES[gv]
+    return AnnotatedNote(note, tuple(spans), record, source, None, gv, qa)
+
+
+def _note_from_fields(obj: dict) -> AnnotatedNote:
+    """Decode a corpus line field by field; the first check it fails raises its message."""
     text = _field(obj, "text", str)
     note = Note(
         note_id=obj["note_id"],  # checked by _read_lines
@@ -244,7 +386,7 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
         provenance=Provenance(obj["provenance"]),
     )
     gv = _optional_field(obj, "guideline_version", str)
-    return AnnotatedNote(
+    annotated = AnnotatedNote(
         note=note,
         spans=_spans_from_objs(obj, text),
         record=record_from_obj(_optional_field(obj, "record", dict)),
@@ -253,6 +395,10 @@ def note_from_obj(obj: dict) -> AnnotatedNote:
         guideline_version=None if gv is None else GuidelineVersion(gv),
         qa=_optional_field(obj, "qa", dict),
     )
+    _check_keys(obj, _NOTE_KEYS, "field")
+    if annotated.meta is not None:
+        _check_keys(obj["meta"], _META_TYPES, "meta field")
+    return annotated
 
 
 def atomic_write_text(path, text) -> None:
@@ -292,15 +438,36 @@ def unique_notes(notes, what: str = "corpus", error=ValueError):
         yield n
 
 
+#: The one encoder of corpus lines; `json.dumps` with an option builds a new one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_corpus(notes, path) -> None:
     """Write annotated notes one JSON line each, streamed; a repeated note id leaves `path` as it was."""
+    encode = _ENCODER.encode
     atomic_write_text(
         path,
-        (
-            json.dumps(note_to_obj(n), ensure_ascii=False) + "\n"
-            for n in unique_notes(notes, error=CorpusFormatError)
-        ),
+        (encode(note_to_obj(n)) + "\n" for n in unique_notes(notes, error=CorpusFormatError)),
     )
+
+
+#: The C scanner under `json.loads`: the JSON value at an index, and the index after it.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _loads_line(line: str):
+    """`json.loads(line)`, run only when the scanner does not read one value up to the newline.
+
+    `json.loads` then raises the exact error, or decodes what the scanner
+    would not, such as a value after leading whitespace.
+    """
+    try:
+        obj, end = _scan_json(line, 0)
+        if line[end:] == "\n":
+            return obj
+    except StopIteration:
+        pass
+    return json.loads(line)
 
 
 def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tuple]:
@@ -316,15 +483,15 @@ def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tu
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if not line or line.isspace():
                     continue
-                obj = json.loads(line)
+                obj = _loads_line(line)
                 if type(obj) is not dict:
                     raise ValueError(f"line must be dict, got {obj!r}")
                 # Only a \u escape decodes to a lone surrogate; one character
                 # is the fast test, most lines hold no backslash at all.
                 if "\\" in line and "\\u" in line:
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    _ENCODER.encode(obj).encode("utf-8")
                 note_id = _field(obj, "note_id", str)
                 value = decode(obj)
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -337,8 +504,7 @@ def _read_lines(path, decode, what: str, error=CorpusFormatError) -> Iterator[tu
 
 def iter_corpus(path) -> Iterator[AnnotatedNote]:
     """Yield a corpus file's notes one at a time, checked as `read_corpus` checks them."""
-    for _, note in _read_lines(path, note_from_obj, "record"):
-        yield note
+    return map(itemgetter(1), _read_lines(path, note_from_obj, "record"))
 
 
 def read_corpus(path) -> list[AnnotatedNote]:
@@ -348,7 +514,7 @@ def read_corpus(path) -> list[AnnotatedNote]:
 
 def read_patient_meta(path) -> dict[str, PatientMeta]:
     """Read a line-delimited meta file mapping note_id to PatientMeta fields."""
-    return dict(_read_lines(path, _meta_from_obj, "meta record"))
+    return dict(_read_lines(path, _meta_line_from_obj, "meta record"))
 
 
 def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]:
