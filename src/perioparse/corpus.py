@@ -168,34 +168,53 @@ def span_to_obj(span: EntitySpan) -> dict:
     return {"dimension": dimension, "value": value, "start": span.start, "end": span.end}
 
 
-def span_from_obj(obj: dict, text: str) -> EntitySpan:
-    """Decode one serialized span's label and integer offsets.
-
-    ``raw_text`` is the declared one, or the slice of ``text`` the offsets
-    cover; `span_violations` checks it against the note.
-    """
-    try:
-        dimension, value = _SPAN_LABELS[obj["dimension"], obj.get("value")]
-    except (KeyError, TypeError):  # unknown label: decode it for the exact error
-        dimension = Dimension(obj["dimension"])
-        value = VALUE_CLASSES[dimension](obj["value"])
-    start, end = _field(obj, "start", int), _field(obj, "end", int)
-    raw = obj.get("raw_text")
-    return EntitySpan(dimension, value, start, end, text[start:end] if raw is None else raw)
-
-
 def _spans_from_objs(obj: dict, text: str) -> tuple[EntitySpan, ...]:
     """Decode a line's `spans`, a list of span objects (none if the key is absent).
 
-    Out-of-bounds, mismatched or overlapping spans raise.
+    A span's type, label and offsets are checked as it is read. Unless the
+    spans are in order, within `text` and equal to any declared ``raw_text``,
+    `span_violations` then names each out-of-bounds, mismatched or overlapping one.
     """
+    raw_spans = obj.get("spans", [])
+    if type(raw_spans) is not list:
+        _field(obj, "spans", list)
+    new_span = EntitySpan.__new__  # a span with empty slots, filled once they are checked
+    set_dimension, set_value, set_start, set_end, set_raw_text = _SPAN_SLOTS
     spans = []
-    for i, span in enumerate(_field(obj, "spans", list) if "spans" in obj else ()):
-        if type(span) is not dict:
-            raise ValueError(f"spans[{i}] must be dict, got {span!r}")
-        spans.append(span_from_obj(span, text))
-    problems = span_violations(text, spans)
-    if problems:
+    ordered = True
+    checked = 0  # the end of the last span while every span so far is ordered
+    length = len(text)
+    for span in raw_spans:
+        try:
+            dimension, value = _SPAN_LABELS[span["dimension"], span["value"]]
+        except (KeyError, TypeError):  # not an object with a known label: find the exact error
+            if type(span) is not dict:
+                raise ValueError(f"spans[{len(spans)}] must be dict, got {span!r}") from None
+            dimension = Dimension(span["dimension"])
+            value = VALUE_CLASSES[dimension](span["value"])
+        start = span["start"]
+        if type(start) is not int:
+            _field(span, "start", int)
+        end = span["end"]
+        if type(end) is not int:
+            _field(span, "end", int)
+        surface = text[start:end]
+        if checked <= start < end <= length and (
+            "raw_text" not in span or span["raw_text"] in (None, surface)
+        ):
+            decoded = new_span(EntitySpan)
+            set_dimension(decoded, dimension)
+            set_value(decoded, value)
+            set_start(decoded, start)
+            set_end(decoded, end)
+            set_raw_text(decoded, surface)
+            checked = end
+        else:  # the constructor checks the offsets; span_violations checks the rest
+            raw = span.get("raw_text")
+            decoded = EntitySpan(dimension, value, start, end, surface if raw is None else raw)
+            ordered = False
+        spans.append(decoded)
+    if not ordered and (problems := span_violations(text, spans)):
         raise ValueError("; ".join(problems))
     return tuple(spans)
 
@@ -215,14 +234,9 @@ _RECORD_KEYS = frozenset(_RECORD_FIELDS)
 
 
 def record_from_obj(obj: dict | None) -> DiagnosisRecord | None:
-    """Decode a record object; a key other than the five field names is malformed."""
+    """Decode a record object field by field; a key other than the five names is malformed."""
     if obj is None:
         return None
-    try:
-        if _RECORD_KEYS.issuperset(obj):
-            return _LEGAL_RECORDS[tuple(map(obj.get, _RECORD_FIELDS))]
-    except (AttributeError, KeyError, TypeError):
-        pass  # not a legal record of known fields: decode it field by field for the exact error
     status = PeriodontalStatus(obj["status"])
     _check_keys(obj, _RECORD_KEYS, "record field")
     record = DiagnosisRecord(status, *(
@@ -249,18 +263,11 @@ def _field(obj: dict, name: str, kind: type):
     return value
 
 
-def _optional_field(obj: dict, name: str, kind: type):
-    """obj[name] as `_field` reads it, or None when the key is absent or null."""
-    return None if obj.get(name) is None else _field(obj, name, kind)
-
-
-def _meta_from_obj(obj: dict | None) -> PatientMeta | None:
+def _meta_from_obj(obj: dict) -> PatientMeta:
     """Decode meta fields, which must be JSON integers and booleans as declared.
 
     Its caller checks the keys, after every other check of the line.
     """
-    if obj is None:
-        return None
     return PatientMeta(**{name: _field(obj, name, kind) for name, kind in _META_TYPES.items()})
 
 
@@ -300,105 +307,66 @@ _NOTE_KEYS = frozenset({
     "spans", "record", "meta", "guideline_version", "qa",
 })
 
-#: Each enum's serialized values -> its members, for the one-pass decode.
+#: Each enum's serialized values -> its members; a miss is decoded by the enum for its error.
 _PROVENANCES = {p.value: p for p in Provenance}
 _SOURCES = {s.value: s for s in AnnotationSource}
 _GUIDELINES = {g.value: g for g in GuidelineVersion}
 
-#: A span with empty slots, which the one-pass decode fills once it has checked them.
-_new_span = EntitySpan.__new__
-
 
 def note_from_obj(obj: dict) -> AnnotatedNote:
-    """Decode one corpus line, checked as `_note_from_fields` checks it.
+    """Decode one corpus line; the first rule it breaks raises the message of that rule's writer.
 
-    The common line is decoded in one pass; any other is decoded field by
-    field, which raises the exact error or, for a line `_note_in_one_pass`
-    leaves to it, returns the same note.
-    """
-    try:
-        annotated = _note_in_one_pass(obj)
-    except (AttributeError, KeyError, TypeError):  # a missing key or an unhashable value
-        annotated = None
-    return _note_from_fields(obj) if annotated is None else annotated
-
-
-def _note_in_one_pass(obj: dict) -> AnnotatedNote | None:
-    """The line's note, built as its fields are checked; None if any check fails.
-
-    It checks what `_note_from_fields` checks, looking enum values, span
-    labels and records up in tables, and returns None (or raises a lookup
-    error) at the first failure, so it writes no message of its own. Spans
-    must come in order, and `meta` must be absent or null; other lines take
-    the long way.
+    Rule order: `text`, `note_id`, `site_id`, `provenance`, a non-empty id;
+    the `guideline_version` type, `spans`, `record`, `annotation_source`;
+    `meta`, the `guideline_version` value, `qa`; last the line and meta keys.
     """
     text = obj["text"]
+    if type(text) is not str:
+        _field(obj, "text", str)
+    note_id = obj["note_id"]
     site_id = obj["site_id"]
-    record = obj.get("record")
-    raw_spans = obj.get("spans", [])
-    qa = obj.get("qa")
-    if not (
-        type(text) is str and type(site_id) is str and type(raw_spans) is list
-        and _NOTE_KEYS.issuperset(obj) and obj.get("meta") is None
-        and (qa is None or type(qa) is dict)
-        and (record is None or type(record) is dict and _RECORD_KEYS.issuperset(record))
-    ):
-        return None
-    note = Note(obj["note_id"], site_id, text, _PROVENANCES[obj["provenance"]])
-    set_dimension, set_value, set_start, set_end, set_raw_text = _SPAN_SLOTS
-    spans = []
-    end = 0
-    length = len(text)
-    for span in raw_spans:
-        start = span["start"]
-        if type(start) is not int or start < end:
-            return None
-        end = span["end"]
-        if type(end) is not int or end <= start or end > length:
-            return None
-        surface = text[start:end]
-        if "raw_text" in span and span["raw_text"] not in (None, surface):
-            return None
-        dimension, value = _SPAN_LABELS[span["dimension"], span["value"]]
-        decoded = _new_span(EntitySpan)
-        set_dimension(decoded, dimension)
-        set_value(decoded, value)
-        set_start(decoded, start)
-        set_end(decoded, end)
-        set_raw_text(decoded, surface)
-        spans.append(decoded)
-    if record is not None:
-        record = _LEGAL_RECORDS[tuple(map(record.get, _RECORD_FIELDS))]
-    source = _SOURCES[obj["annotation_source"]]
+    if type(site_id) is not str:
+        _field(obj, "site_id", str)
+    try:
+        provenance = _PROVENANCES[obj["provenance"]]
+    except (KeyError, TypeError):
+        provenance = Provenance(obj["provenance"])
+    note = Note(note_id, site_id, text, provenance)
     gv = obj.get("guideline_version")
+    if gv is not None and type(gv) is not str:
+        _field(obj, "guideline_version", str)
+    spans = _spans_from_objs(obj, text)
+    record = obj.get("record")
+    if record is not None:
+        if type(record) is not dict:
+            _field(obj, "record", dict)
+        values = _RECORD_KEYS.issuperset(record) and tuple(map(record.get, _RECORD_FIELDS))
+        try:
+            record = _LEGAL_RECORDS[values]
+        except (KeyError, TypeError):  # not a legal record of known fields
+            record = record_from_obj(record)
+    try:
+        source = _SOURCES[obj["annotation_source"]]
+    except (KeyError, TypeError):
+        source = AnnotationSource(obj["annotation_source"])
+    meta = obj.get("meta")
+    if meta is not None:
+        if type(meta) is not dict:
+            _field(obj, "meta", dict)
+        meta = _meta_from_obj(meta)
     if gv is not None:
-        gv = _GUIDELINES[gv]
-    return AnnotatedNote(note, tuple(spans), record, source, None, gv, qa)
-
-
-def _note_from_fields(obj: dict) -> AnnotatedNote:
-    """Decode a corpus line field by field; the first check it fails raises its message."""
-    text = _field(obj, "text", str)
-    note = Note(
-        note_id=obj["note_id"],  # checked by _read_lines
-        site_id=_field(obj, "site_id", str),
-        text=text,
-        provenance=Provenance(obj["provenance"]),
-    )
-    gv = _optional_field(obj, "guideline_version", str)
-    annotated = AnnotatedNote(
-        note=note,
-        spans=_spans_from_objs(obj, text),
-        record=record_from_obj(_optional_field(obj, "record", dict)),
-        annotation_source=AnnotationSource(obj["annotation_source"]),
-        meta=_meta_from_obj(_optional_field(obj, "meta", dict)),
-        guideline_version=None if gv is None else GuidelineVersion(gv),
-        qa=_optional_field(obj, "qa", dict),
-    )
-    _check_keys(obj, _NOTE_KEYS, "field")
-    if annotated.meta is not None:
+        try:
+            gv = _GUIDELINES[gv]
+        except KeyError:
+            gv = GuidelineVersion(gv)
+    qa = obj.get("qa")
+    if qa is not None and type(qa) is not dict:
+        _field(obj, "qa", dict)
+    if not _NOTE_KEYS.issuperset(obj):
+        _check_keys(obj, _NOTE_KEYS, "field")
+    if meta is not None:
         _check_keys(obj["meta"], _META_TYPES, "meta field")
-    return annotated
+    return AnnotatedNote(note, spans, record, source, meta, gv, qa)
 
 
 def atomic_write_text(path, text) -> None:
@@ -518,7 +486,7 @@ def read_patient_meta(path) -> dict[str, PatientMeta]:
 
 
 def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]:
-    """Predicted spans by note id, checked against the corpus like corpus spans."""
+    """Predicted spans by note id, checked like corpus spans; an unknown line key is malformed."""
     texts = {n.note.note_id: n.note.text for n in corpus}
 
     def decode(obj):
@@ -526,7 +494,10 @@ def load_external_predictions(path, corpus) -> dict[str, tuple[EntitySpan, ...]]
         if note_id not in texts:
             raise ValueError(f"unknown note_id {note_id!r}")
         try:
-            return _spans_from_objs(obj, texts[note_id])
+            spans = _spans_from_objs(obj, texts[note_id])
+            if not _NOTE_KEYS.issuperset(obj):
+                _check_keys(obj, _NOTE_KEYS, "field")
+            return spans
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"note {note_id!r}: {exc}") from exc
 

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import random
 
+from perioparse.corpus import AnnotatedNote, AnnotationSource, Note, PatientMeta, Provenance
 from perioparse.model import (
     DiagnosisRecord,
+    Dimension,
+    EntitySpan,
     Extent,
     Grade,
     PeriodontalStatus,
     Stage,
     Subtype,
+    span_violations,
+    validate_record,
 )
+from perioparse.normalization import GuidelineVersion
 
 _SEVERITY = ["Health", "Gingivitis", "Periodontitis"]
 _STAGE_ORDER = ["I", "II", "III", "IV"]
@@ -179,3 +185,100 @@ def expand_cells_to_pairs(classes, cells):
     for (gold, pred), n in cells.items():
         pairs.extend([(gold, pred)] * n)
     return pairs
+
+
+# The keys each object of a corpus line may hold, and the meta fields' JSON types.
+_LINE_KEYS = [
+    "note_id", "site_id", "text", "provenance", "annotation_source",
+    "spans", "record", "meta", "guideline_version", "qa",
+]
+_RECORD_KEYS = ["status", "stage", "grade", "extent", "subtype"]
+_META_FIELDS = [
+    ("age", int), ("natural_teeth_count", int),
+    ("has_full_mouth_radiographs", bool), ("has_periodontal_charting", bool),
+]
+_SPAN_VALUES = {
+    Dimension.STATUS: PeriodontalStatus, Dimension.STAGE: Stage, Dimension.GRADE: Grade,
+    Dimension.EXTENT: Extent, Dimension.SUBTYPE: Subtype,
+}
+
+
+def _typed(obj, name, kind):
+    value = obj[name]
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _optional(obj, name, kind):
+    return None if obj.get(name) is None else _typed(obj, name, kind)
+
+
+def _known_keys(obj, keys, what):
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown {what} {key!r}")
+
+
+def _optional_member(obj, name, cls):
+    return None if obj.get(name) is None else cls(obj[name])
+
+
+def oracle_record_from_obj(obj):
+    """A record object decoded through the enums and `validate_record`, no lookup table."""
+    status = PeriodontalStatus(obj["status"])
+    _known_keys(obj, _RECORD_KEYS, "record field")
+    record = DiagnosisRecord(
+        status,
+        stage=_optional_member(obj, "stage", Stage),
+        grade=_optional_member(obj, "grade", Grade),
+        extent=_optional_member(obj, "extent", Extent),
+        subtype=_optional_member(obj, "subtype", Subtype),
+    )
+    problems = validate_record(record)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return record
+
+
+def oracle_spans_from_obj(obj, text):
+    """A line's spans, each built by the `EntitySpan` constructor, then `span_violations`."""
+    spans = []
+    for i, span in enumerate(_typed(obj, "spans", list) if "spans" in obj else []):
+        if type(span) is not dict:
+            raise ValueError(f"spans[{i}] must be dict, got {span!r}")
+        dimension = Dimension(span["dimension"])
+        value = _SPAN_VALUES[dimension](span["value"])
+        start, end = _typed(span, "start", int), _typed(span, "end", int)
+        raw = span.get("raw_text")
+        raw = text[start:end] if raw is None else raw
+        spans.append(EntitySpan(dimension, value, start, end, raw))
+    problems = span_violations(text, spans)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return tuple(spans)
+
+
+def oracle_note_from_obj(obj):
+    """A corpus line decoded field by field in `note_from_obj`'s rule order.
+
+    The first rule the line breaks raises, with the message the library writes.
+    """
+    text = _typed(obj, "text", str)
+    note = Note(obj["note_id"], _typed(obj, "site_id", str), text, Provenance(obj["provenance"]))
+    gv = _optional(obj, "guideline_version", str)
+    spans = oracle_spans_from_obj(obj, text)
+    record = _optional(obj, "record", dict)
+    if record is not None:
+        record = oracle_record_from_obj(record)
+    source = AnnotationSource(obj["annotation_source"])
+    meta = _optional(obj, "meta", dict)
+    if meta is not None:
+        meta = PatientMeta(**{name: _typed(meta, name, kind) for name, kind in _META_FIELDS})
+    if gv is not None:
+        gv = GuidelineVersion(gv)
+    qa = _optional(obj, "qa", dict)
+    _known_keys(obj, _LINE_KEYS, "field")
+    if meta is not None:
+        _known_keys(obj["meta"], [name for name, _ in _META_FIELDS], "meta field")
+    return AnnotatedNote(note, spans, record, source, meta, gv, qa)

@@ -856,8 +856,13 @@ _STAGE_II = {"dimension": "Stage", "value": "II", "start": 9, "end": 11}
           '{"note_id": "n-1", "spans": []}'], 3),
         ([json.dumps({"note_id": "n-1", "spans": [
             _STAGE_II, {"dimension": "Stage", "value": "II", "start": 6, "end": 11}]})], 1),
+        (['{"note_id": "n-1", "spans": []}', json.dumps({"note_id": "n-2", "spnas": [_STAGE_II]})],
+         2),
     ],
-    ids=["non-object-line", "spans-not-a-list", "repeated-note-id", "overlapping-spans"],
+    ids=[
+        "non-object-line", "spans-not-a-list", "repeated-note-id", "overlapping-spans",
+        "misspelled-spans-key",
+    ],
 )
 def test_extract_rejects_bad_prediction_lines(tmp_path, capsys, lines, bad_line):
     corpus = tmp_path / "in.jsonl"

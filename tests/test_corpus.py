@@ -1,5 +1,6 @@
 import cProfile
 import dataclasses
+import itertools
 import json
 import os
 import pstats
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import legal_records
+from oracles import legal_records, oracle_note_from_obj
 from perioparse import corpus, evaluation
 from perioparse.corpus import (
     PARTITIONS,
@@ -19,15 +20,14 @@ from perioparse.corpus import (
     CorpusFormatError,
     Note,
     PatientMeta,
+    PredictionFileError,
     Provenance,
     cohort_filter,
     load_external_predictions,
     read_corpus,
     read_manifest,
     read_patient_meta,
-    record_from_obj,
     record_to_obj,
-    span_from_obj,
     split_corpus,
     write_corpus,
     write_manifest,
@@ -294,13 +294,19 @@ def test_invalid_record_rejected_on_read(tmp_path):
 
 
 def _decode_all():
-    records = [record_from_obj(record_to_obj(r)) for r in legal_records()]
-    spans = [
-        span_from_obj({"dimension": dim.value, "value": v.value, "start": 0, "end": 1}, "x")
-        for dim, cls in VALUE_CLASSES.items()
-        for v in cls
+    line = {
+        "note_id": "a", "site_id": "s", "text": "x",
+        "provenance": "Real", "annotation_source": "Gold",
+    }
+    records = [
+        corpus.note_from_obj({**line, "record": record_to_obj(r)}).record for r in legal_records()
     ]
-    return records, spans
+    spans = [
+        {"dimension": dim.value, "value": v.value, "start": i, "end": i + 1}
+        for dim, cls in VALUE_CLASSES.items()
+        for i, v in enumerate(cls)
+    ]
+    return records, [corpus._spans_from_objs({"spans": [span]}, "xxxx")[0] for span in spans]
 
 
 def test_lookup_tables_decode_like_the_field_by_field_path(monkeypatch):
@@ -521,15 +527,23 @@ def test_meta_lines_hold_note_id_and_the_four_fields(tmp_path):
     assert str(info.value) == f"{path}:1: malformed meta record: unknown meta field 'agee'"
 
 
-def test_a_prediction_line_may_hold_any_key(tmp_path):
+def test_a_prediction_line_may_hold_any_corpus_line_key(tmp_path):
     corpus_notes = [make_note("n-1", "D: Stage II.")]
     path = tmp_path / "pred.jsonl"
     span = {"dimension": "Stage", "value": "II", "start": 9, "end": 11}
-    line = {"note_id": "n-1", "spans": [span], "recrod": None, "meta": {"agee": 3}}
+    line = {"note_id": "n-1", "spans": [span], "record": None, "meta": {"agee": 3}}
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     assert load_external_predictions(path, corpus_notes) == {
         "n-1": (EntitySpan(Dimension.STAGE, Stage.II, 9, 11, "II"),)
     }
+    # Any other key is malformed: a misspelled `spans` is not a note with no predictions.
+    for key in ("recrod", "spnas"):
+        path.write_text(json.dumps({"note_id": "n-1", key: [span]}) + "\n", encoding="utf-8")
+        with pytest.raises(PredictionFileError) as info:
+            load_external_predictions(path, corpus_notes)
+        assert str(info.value) == (
+            f"{path}:1: malformed prediction record: note 'n-1': unknown field {key!r}"
+        )
 
 
 def test_slotted_notes_keep_their_dataclass_contracts():
@@ -579,7 +593,7 @@ def _calls_per_line(fn, *args, lines: int) -> float:
 
 def test_codec_calls_per_line_are_bounded(tmp_path):
     # 450 offline notes under corpus-short's perturbation rates. Measured at
-    # 23.4 calls per line to read and 22.4 to write (70.8 and 37.2 when each
+    # 24.4 calls per line to read and 22.4 to write (70.8 and 37.2 when each
     # line was decoded field by field into plain dataclasses).
     rates = dict.fromkeys(PERTURBATION_RATES, 0.15)
     notes = generate_offline(demo_seed_templates(15), 10, PerturbationSpec(rng_seed=1, **rates))
@@ -625,54 +639,84 @@ def _corpus_lines(draw):
     return obj
 
 
+_MISSING = object()
+
+
+def _change(update):
+    """A mutation that sets the line's keys to `update`'s values; _MISSING drops the key."""
+    return lambda line: {k: v for k, v in {**line, **update}.items() if v is not _MISSING}
+
+
+def _span_change(i, update):
+    """A mutation that applies `update` as `_change` does to the i-th span, if the line has one."""
+    def mutate(line):
+        spans = line.get("spans")
+        if type(spans) is not list or len(spans) <= i or type(spans[i]) is not dict:
+            return line
+        return {**line, "spans": [*spans[:i], _change(update)(spans[i]), *spans[i + 1:]]}
+    return mutate
+
+
+def _spans_change(edit):
+    """A mutation that replaces the line's span list, if it has one, with `edit` of it."""
+    def mutate(line):
+        spans = line.get("spans", [])
+        return {**line, "spans": edit(spans)} if type(spans) is list else line
+    return mutate
+
+
 def _mutations(obj):
-    """Single mutations of a valid line: each either breaks a rule or keeps the line valid."""
-    spans = obj.get("spans", [])
-    yield "wrong-type-text", {**obj, "text": 5}
-    yield "wrong-type-site", {**obj, "site_id": None}
-    yield "wrong-type-spans", {**obj, "spans": {}}
-    yield "wrong-type-record", {**obj, "record": []}
-    yield "wrong-type-meta", {**obj, "meta": "x"}
-    yield "wrong-type-qa", {**obj, "qa": [1]}
-    yield "wrong-type-guideline", {**obj, "guideline_version": 2018}
-    yield "empty-note-id", {**obj, "note_id": ""}
-    yield "unknown-provenance", {**obj, "provenance": "real"}
-    yield "unhashable-provenance", {**obj, "provenance": ["Real"]}
-    yield "unhashable-source", {**obj, "annotation_source": {"Gold": 1}}
-    yield "unhashable-guideline", {**obj, "guideline_version": ["Legacy"]}
-    yield "unknown-record-value", {**obj, "record": {"status": "Periodontitis", "stage": "V"}}
-    yield "illegal-record", {**obj, "record": {"status": "Health", "stage": "I"}}
-    yield "unhashable-record-value", {**obj, "record": {"status": ["Health"]}}
-    yield "unknown-record-key", {**obj, "record": {"status": "Health", "stag": "I"}}
-    yield "unknown-key", {**obj, "recrod": None}
-    yield "unknown-meta-key", {**obj, "meta": {**_META, "agee": 3}}
-    yield "meta-bool-age", {**obj, "meta": {**_META, "age": True}}
-    yield "spans-reversed", {**obj, "spans": spans[::-1]}
-    yield "span-not-object", {**obj, "spans": [*spans, ["Stage"]]}
+    """Mutations of a valid line: each either breaks a rule or keeps the line valid.
+
+    Each is a function of a line, so that two can be applied one after the other.
+    """
+    yield "wrong-type-text", _change({"text": 5})
+    yield "wrong-type-site", _change({"site_id": None})
+    yield "wrong-type-spans", _change({"spans": {}})
+    yield "wrong-type-record", _change({"record": []})
+    yield "wrong-type-meta", _change({"meta": "x"})
+    yield "wrong-type-qa", _change({"qa": [1]})
+    yield "wrong-type-guideline", _change({"guideline_version": 2018})
+    yield "empty-note-id", _change({"note_id": ""})
+    yield "unknown-provenance", _change({"provenance": "real"})
+    yield "unhashable-provenance", _change({"provenance": ["Real"]})
+    yield "unhashable-source", _change({"annotation_source": {"Gold": 1}})
+    yield "unknown-guideline", _change({"guideline_version": "2018"})
+    yield "unhashable-guideline", _change({"guideline_version": ["Legacy"]})
+    yield "unknown-record-value", _change({"record": {"status": "Periodontitis", "stage": "V"}})
+    yield "illegal-record", _change({"record": {"status": "Health", "stage": "I"}})
+    yield "unhashable-record-value", _change({"record": {"status": ["Health"]}})
+    yield "unknown-record-key", _change({"record": {"status": "Health", "stag": "I"}})
+    yield "unknown-key", _change({"recrod": None})
+    yield "unknown-meta-key", _change({"meta": {**_META, "agee": 3}})
+    yield "meta-bool-age", _change({"meta": {**_META, "age": True}})
+    yield "spans-reversed", _spans_change(lambda spans: spans[::-1])
+    yield "span-not-object", _spans_change(lambda spans: [*spans, ["Stage"]])
     for key in ("note_id", "site_id", "text", "provenance", "annotation_source"):
-        yield f"missing-{key}", {k: v for k, v in obj.items() if k != key}
+        yield f"missing-{key}", _change({key: _MISSING})
     text_len = len(obj["text"])
-    for i, span in enumerate(spans):
-        for name, changed in (
-            ("bool-start", {**span, "start": bool(span["start"])}),
-            ("bool-end", {**span, "end": True}),
-            ("float-end", {**span, "end": float(span["end"])}),
-            ("negative-start", {**span, "start": -1}),
-            ("empty-span", {**span, "end": span["start"]}),
-            ("out-of-bounds", {**span, "end": text_len + 1}),
-            ("raw-text-mismatch", {**span, "raw_text": span.get("raw_text", "") + "x"}),
-            ("raw-text-not-str", {**span, "raw_text": 5}),
-            ("unknown-dimension", {**span, "dimension": "stage"}),
-            ("unknown-value", {**span, "value": "V"}),
-            ("unhashable-dimension", {**span, "dimension": ["Stage"]}),
-            ("unhashable-value", {**span, "value": {"v": 1}}),
+    for i, span in enumerate(obj.get("spans", [])):
+        for name, update in (
+            ("bool-start", {"start": bool(span["start"])}),
+            ("bool-end", {"end": True}),
+            ("float-end", {"end": float(span["end"])}),
+            ("negative-start", {"start": -1}),
+            ("empty-span", {"end": span["start"]}),
+            ("out-of-bounds", {"end": text_len + 1}),
+            ("raw-text-mismatch", {"raw_text": span.get("raw_text", "") + "x"}),
+            ("raw-text-not-str", {"raw_text": 5}),
+            ("unknown-dimension", {"dimension": "stage"}),
+            ("unknown-value", {"value": "V"}),
+            ("unhashable-dimension", {"dimension": ["Stage"]}),
+            ("unhashable-value", {"value": {"v": 1}}),
             *(
-                (f"span-missing-{key}", {k: v for k, v in span.items() if k != key})
+                (f"span-missing-{key}", {key: _MISSING})
                 for key in ("start", "end", "dimension", "value")
             ),
         ):
-            yield name, {**obj, "spans": [*spans[:i], changed, *spans[i + 1:]]}
-        yield "overlap", {**obj, "spans": [*spans, {**span, "end": text_len}]}
+            yield f"{name}-{i}", _span_change(i, update)
+        overlap = {**span, "end": text_len}
+        yield f"overlap-{i}", _spans_change(lambda spans, overlap=overlap: [*spans, overlap])
 
 
 def _outcome(decode, obj):
@@ -684,11 +728,17 @@ def _outcome(decode, obj):
 
 @settings(max_examples=150, deadline=None)
 @given(obj=_corpus_lines())
-def test_one_pass_decode_equals_the_field_by_field_decode(obj):
-    one_pass = corpus._note_in_one_pass(json.loads(json.dumps(obj)))
-    if obj.get("meta") is None:
-        assert one_pass is not None and one_pass == corpus._note_from_fields(obj)
-    for name, mutated in _mutations(obj):
+def test_corpus_line_decode_equals_the_field_by_field_oracle(obj):
+    """The first rule broken wins: single and paired faults raise what the oracle raises."""
+    assert corpus.note_from_obj(json.loads(json.dumps(obj))) == oracle_note_from_obj(obj)
+    mutations = list(_mutations(obj))
+    for name, mutate in mutations:
+        mutated = mutate(obj)
         assert _outcome(corpus.note_from_obj, mutated) == _outcome(
-            corpus._note_from_fields, mutated
+            oracle_note_from_obj, mutated
         ), name
+    for (first, mutate_first), (second, mutate_second) in itertools.permutations(mutations, 2):
+        mutated = mutate_second(mutate_first(obj))
+        assert _outcome(corpus.note_from_obj, mutated) == _outcome(
+            oracle_note_from_obj, mutated
+        ), (first, second)
