@@ -29,7 +29,6 @@ from .evaluation import (
     averages,
     build_confusion,
     class_metrics,
-    compare_note,
     detect_stabilization,
     evaluate_corpus,
     evaluate_records,

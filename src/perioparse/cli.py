@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import itertools
 import math
 import sys
@@ -263,12 +264,27 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+# Each flag only `evaluate --curve` reads, and the `learning_curve` parameter it sets;
+# a flag not given leaves that parameter's default.
+_CURVE_FLAGS = {
+    "--step": "step", "--epsilon": "epsilon", "--window": "window", "--curve-seed": "seed",
+    "--dimension": "dimension",
+}
+
+
 def _cmd_evaluate(args) -> int:
-    for flag, value in (("--step", args.step), ("--window", args.window)):
-        if args.curve and value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
-    if args.curve and not 0 < args.epsilon < math.inf:
-        raise UsageError(f"--epsilon must be finite and above 0, got {args.epsilon}")
+    given = {flag: getattr(args, name) for flag, name in _CURVE_FLAGS.items()}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    if given and not args.curve:
+        raise UsageError(f"{next(iter(given))} works only with --curve")
+    for flag in ("--step", "--window"):
+        if given.get(flag, 1) < 1:
+            raise UsageError(f"{flag} must be at least 1, got {given[flag]}")
+    if not 0 < given.get("--epsilon", 1) < math.inf:
+        raise UsageError(f"--epsilon must be finite and above 0, got {given['--epsilon']}")
+    curve_args = {_CURVE_FLAGS[flag]: value for flag, value in given.items()}
+    if "dimension" in curve_args:
+        curve_args["dimension"] = Dimension(curve_args["dimension"])
     read = read_corpus if args.curve else iter_corpus  # the curve shuffles the whole gold pool
     gold, pred = read(args.gold_in), read(args.pred_in)
     results = evaluate_corpus(gold, pred)
@@ -283,20 +299,13 @@ def _cmd_evaluate(args) -> int:
 
     if args.curve:
         pred_records = {n.note.note_id: n.record for n in pred}
+        step = curve_args.get("step", inspect.signature(learning_curve).parameters["step"].default)
         curves = {}
         for site, site_notes in notes_by_site(gold).items():
-            if len(site_notes) < args.step:
-                print(f"{site}: {len(site_notes)} notes, fewer than --step {args.step}; no curve")
+            if len(site_notes) < step:
+                print(f"{site}: {len(site_notes)} notes, fewer than --step {step}; no curve")
                 continue
-            curve = learning_curve(
-                site_notes,
-                pred_records,
-                step=args.step,
-                epsilon=args.epsilon,
-                window=args.window,
-                seed=args.curve_seed,
-                dimension=Dimension(args.dimension),
-            )
+            curve = learning_curve(site_notes, pred_records, **curve_args)
             curves[site] = learning_curve_to_obj(curve)
         atomic_write_text(out_dir / "learning_curve.json", json_text(curves))
 
@@ -360,15 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--report", choices=list(REPORT_FORMATS), default="text-table")
     p.add_argument("--curve", action="store_true")
-    p.add_argument("--step", type=int, default=30)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--curve-seed", type=int, default=0)
-    p.add_argument(
-        "--dimension",
-        choices=[d.value for d in Dimension],
-        default=Dimension.STATUS.value,
-    )
+    p.add_argument("--step", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--window", type=int)
+    p.add_argument("--curve-seed", type=int, dest="seed")
+    p.add_argument("--dimension", choices=[d.value for d in Dimension])
     p.set_defaults(func=_cmd_evaluate)
     return parser
 

@@ -4,6 +4,11 @@ Scoring is value-level per dimension: each evaluated note contributes one
 (gold, predicted) pair per dimension, with absence on either side recorded
 as the explicit N/A class. N/A participates in the confusion matrix but is
 never an averaged class.
+
+The one scoring state is a `Counter` of (gold record, predicted record) pairs, of
+which a corpus holds few; `_score` adds each distinct pair's count to the five matrices.
+`evaluate_records` and `evaluate_corpus` count each site's pairs once, and
+`learning_curve` adds each step's counts to running matrices.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -27,13 +33,6 @@ def _labels(record: DiagnosisRecord | None) -> tuple[str, ...]:
     """A record's class labels: its `field_values`, N/A for absences; five N/As for no record."""
     values = (None,) * len(DIMENSIONS) if record is None else field_values(record)
     return tuple(NA if value is None else value for value in values)
-
-
-def compare_note(
-    gold: DiagnosisRecord | None, pred: DiagnosisRecord | None
-) -> dict[Dimension, tuple[str, str]]:
-    """Per-dimension (gold, predicted) label pairs for one note."""
-    return dict(zip(DIMENSIONS, zip(_labels(gold), _labels(pred))))
 
 
 def dimension_classes(dimension: Dimension) -> tuple[str, ...]:
@@ -58,12 +57,6 @@ class ConfusionMatrix:
         if n < 0:
             raise ValueError("counts must be non-negative")
         self.counts[(gold, pred)] = self.counts.get((gold, pred), 0) + n
-
-    def gold_support(self, gold: str) -> int:
-        return sum(self.cell(gold, p) for p in self.classes)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def grid(self) -> list[list[int]]:
         return [[self.cell(g, p) for p in self.classes] for g in self.classes]
@@ -160,12 +153,12 @@ def _require_same_ids(gold_ids, pred_ids) -> None:
         )
 
 
-def _score(matrices: dict[Dimension, ConfusionMatrix], record_pairs, site: str) -> MetricsTable:
-    """Add each note's (gold, predicted) records to the matrices, then score them."""
+def _score(matrices: dict[Dimension, ConfusionMatrix], pairs: Counter, site: str) -> MetricsTable:
+    """Add the count of each (gold, predicted) record pair to the matrices, then score them."""
     columns = [matrices[dim] for dim in DIMENSIONS]
-    for gold, pred in record_pairs:
+    for (gold, pred), n in pairs.items():
         for matrix, gold_label, pred_label in zip(columns, _labels(gold), _labels(pred)):
-            matrix.add(gold_label, pred_label)
+            matrix.add(gold_label, pred_label, n)
     dims = []
     for dim in DIMENSIONS:
         metrics = all_class_metrics(matrices[dim])
@@ -181,7 +174,7 @@ def evaluate_records(
     """Score aligned gold/predicted records, keyed by note id."""
     _require_same_ids(gold, pred)
     matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}
-    return matrices, _score(matrices, ((gold[nid], pred[nid]) for nid in gold), site)
+    return matrices, _score(matrices, Counter((gold[nid], pred[nid]) for nid in gold), site)
 
 
 def notes_by_site(notes) -> dict[str, list]:
@@ -197,15 +190,14 @@ def evaluate_corpus(gold_notes, pred_notes) -> dict[str, tuple[dict, MetricsTabl
 
     Each is read once, gold first, and only its note ids, sites and records are kept.
     """
-    gold: dict[str, dict[str, DiagnosisRecord | None]] = {}
-    for n in unique_notes(gold_notes, "gold"):
-        gold.setdefault(n.note.site_id, {})[n.note.note_id] = n.record
+    gold = {n.note.note_id: (n.note.site_id, n.record) for n in unique_notes(gold_notes, "gold")}
     pred = {n.note.note_id: n.record for n in unique_notes(pred_notes, "predictions")}
-    _require_same_ids((nid for site in gold.values() for nid in site), pred)
-    return {
-        site: evaluate_records(g, {nid: pred[nid] for nid in g}, site=site)
-        for site, g in sorted(gold.items())
-    }
+    _require_same_ids(gold, pred)
+    pairs: dict[str, Counter] = defaultdict(Counter)
+    for nid, (site, record) in gold.items():
+        pairs[site][record, pred[nid]] += 1
+    matrices = {site: {d: build_confusion((), d) for d in DIMENSIONS} for site in sorted(pairs)}
+    return {site: (m, _score(m, pairs[site], site)) for site, m in matrices.items()}
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +260,7 @@ def learning_curve(
     matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}
     points = []
     for size in sizes:
-        added = ((n.record, pred_records[n.note.note_id]) for n in pool[size - step : size])
+        added = Counter((n.record, pred_records[n.note.note_id]) for n in pool[size - step : size])
         table = _score(matrices, added, "pool")
         f1s = {dm.dimension: dm.weighted.f1 if dm.weighted else None for dm in table.dimensions}
         points.append((size, f1s))

@@ -390,6 +390,11 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
         ("", ["evaluate", "--curve", "--epsilon", -1], "--epsilon"),
         ("", ["evaluate", "--curve", "--epsilon", "nan"], "--epsilon"),
         ("", ["evaluate", "--curve", "--epsilon", "inf"], "--epsilon"),
+        ("", ["evaluate", "--step", 30], "--step works only with --curve"),
+        ("", ["evaluate", "--epsilon", 0.01], "--epsilon works only with --curve"),
+        ("", ["evaluate", "--window", 2], "--window works only with --curve"),
+        ("", ["evaluate", "--curve-seed", 3], "--curve-seed works only with --curve"),
+        ("", ["evaluate", "--dimension", "Stage"], "--dimension works only with --curve"),
         ("typo_rate = 0.5\ntypo_rat = 0.9\n", ["synth"], "'typo_rat'"),
         ("temperature = x\n", ["synth"], "temperature"),
         ("max_concurrent_requests = 2.5\n", ["synth"], "max_concurrent_requests"),
@@ -401,7 +406,9 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
     ids=[
         "variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step",
         "zero-curve-window", "zero-epsilon", "negative-epsilon", "nan-epsilon",
-        "infinite-epsilon", "misspelled-key", "temperature-not-a-number",
+        "infinite-epsilon", "step-without-curve", "epsilon-without-curve",
+        "window-without-curve", "curve-seed-without-curve", "dimension-without-curve",
+        "misspelled-key", "temperature-not-a-number",
         "fractional-concurrency", "duplicate-key",
     ],
 )

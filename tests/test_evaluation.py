@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import legal_records, oracle_learning_curve, oracle_metrics_from_pairs
+from oracles import _field_label, legal_records, oracle_learning_curve, oracle_metrics_from_pairs
 from perioparse import evaluation
 from perioparse.corpus import AnnotatedNote, Note
 from perioparse.evaluation import (
@@ -14,7 +14,6 @@ from perioparse.evaluation import (
     averages,
     build_confusion,
     class_metrics,
-    compare_note,
     detect_stabilization,
     dimension_classes,
     evaluate_corpus,
@@ -24,6 +23,7 @@ from perioparse.evaluation import (
 from perioparse.model import (
     DIMENSIONS,
     FIELD_NAMES,
+    LEGAL_RECORDS,
     DiagnosisRecord,
     Dimension,
     Extent,
@@ -37,10 +37,21 @@ FULL = DiagnosisRecord(P, Stage.III, Grade.B, Extent.GENERALIZED)
 
 
 # --------------------------------------------------------------------------
-# compare_note
+# one note's label pairs
+
+def _label_pairs(gold, pred):
+    """Each dimension's one (gold, predicted) label pair, read from a one-note corpus's matrices."""
+    matrices, _ = evaluate_records({"n-0": gold}, {"n-0": pred})
+    pairs = {}
+    for dimension, matrix in matrices.items():
+        [(pair, count)] = matrix.counts.items()
+        assert count == 1
+        pairs[dimension] = pair
+    return pairs
+
 
 def test_identical_records_match_on_all_dimensions():
-    pairs = compare_note(FULL, FULL)
+    pairs = _label_pairs(FULL, FULL)
     assert len(pairs) == 5
     assert all(g == p for g, p in pairs.values())
 
@@ -48,24 +59,26 @@ def test_identical_records_match_on_all_dimensions():
 def test_extent_confusion_pair():
     gold = DiagnosisRecord(P, extent=Extent.LOCALIZED)
     pred = DiagnosisRecord(P, extent=Extent.GENERALIZED)
-    assert compare_note(gold, pred)[Dimension.EXTENT] == ("Localized", "Generalized")
+    assert _label_pairs(gold, pred)[Dimension.EXTENT] == ("Localized", "Generalized")
 
 
 def test_false_positive_pair_uses_na():
     gold = DiagnosisRecord(P)
     pred = DiagnosisRecord(P, grade=Grade.B)
-    assert compare_note(gold, pred)[Dimension.GRADE] == (NA, "B")
+    assert _label_pairs(gold, pred)[Dimension.GRADE] == (NA, "B")
 
 
 def test_an_illegal_record_is_labelled_by_its_fields():
     bad = DiagnosisRecord(PeriodontalStatus.GINGIVITIS, stage=Stage.I)  # gingivitis has no stage
-    assert compare_note(bad, None)[Dimension.STAGE] == ("I", NA)
+    assert evaluation._labels(bad)[DIMENSIONS.index(Dimension.STAGE)] == "I"
+    assert _label_pairs(bad, None)[Dimension.STAGE] == ("I", NA)
     matrices, _ = evaluate_records({"a": bad}, {"a": bad})
     assert matrices[Dimension.STAGE].counts == {("I", "I"): 1}
 
 
 def test_absent_records_are_na_everywhere():
-    pairs = compare_note(None, None)
+    assert evaluation._labels(None) == (NA,) * 5
+    pairs = _label_pairs(None, None)
     assert all(pair == (NA, NA) for pair in pairs.values())
 
 
@@ -75,7 +88,7 @@ def test_absent_records_are_na_everywhere():
 def test_diagonal_matrix():
     matrix = build_confusion([("III", "III")] * 10, Dimension.STAGE)
     assert matrix.cell("III", "III") == 10
-    assert matrix.total() == 10
+    assert sum(map(sum, matrix.grid())) == 10
     for g in matrix.classes:
         for p in matrix.classes:
             if (g, p) != ("III", "III"):
@@ -90,14 +103,13 @@ def test_hand_tallied_matrix():
     assert matrix.cell("Localized", "Generalized") == 2
     assert matrix.cell("Generalized", "Generalized") == 3
     assert matrix.cell(NA, NA) == 5
-    assert matrix.gold_support("Localized") == 2
-    assert matrix.gold_support("Generalized") == 3
-    assert matrix.gold_support(NA) == 5
+    gold_support = dict(zip(matrix.classes, map(sum, matrix.grid())))  # row sums
+    assert gold_support == {"Localized": 2, "Generalized": 3, NA: 5}
 
 
 def test_empty_matrix():
     matrix = build_confusion([], Dimension.GRADE)
-    assert matrix.total() == 0
+    assert sum(map(sum, matrix.grid())) == 0
     assert all(matrix.cell(g, p) == 0 for g in matrix.classes for p in matrix.classes)
 
 
@@ -382,17 +394,26 @@ def test_learning_curve_checks_window_before_scoring(monkeypatch):
 
 
 @pytest.mark.parametrize("step", [1, 7, 30, 450])
-def test_learning_curve_labels_each_note_once(monkeypatch, step):
-    # Re-scoring every prefix labelled about N * N / step notes. Notes past the
-    # last full step are in no point, so they are not labelled and need no prediction.
+def test_learning_curve_labels_each_steps_distinct_pairs_once(monkeypatch, step):
+    # Re-scoring every prefix labelled about N * N / step notes, and labelling note by
+    # note N. Each step's distinct (gold, predicted) record pairs are labelled once: N at
+    # step 1, at most 6 per step here. Notes past the last full step are in no point, so
+    # they are not labelled and need no prediction.
     calls = _count_record_labels(monkeypatch)
     notes = _pool([FULL, DiagnosisRecord(P, Stage.I), None] * 150)
     shuffled = list(notes)
     random.Random(0).shuffle(shuffled)
     scored = shuffled[: 450 // step * step]
-    curve = learning_curve(notes, {n.note.note_id: FULL for n in scored}, step=step)
+    preds = {n.note.note_id: (FULL, None)[i % 2] for i, n in enumerate(scored)}
+    curve = learning_curve(notes, preds, step=step)
     assert len(curve.points) == 450 // step
-    assert len(calls) == 2 * len(scored)
+    distinct = sum(
+        len({(n.record, preds[n.note.note_id]) for n in scored[start : start + step]})
+        for start in range(0, len(scored), step)
+    )
+    assert len(calls) == 2 * distinct
+    if step == 1:
+        assert distinct == len(scored)
 
 
 def test_learning_curve_names_a_note_with_no_prediction():
@@ -455,3 +476,43 @@ def test_learning_curve_matches_per_prefix_oracle(records, step, seed, epsilon, 
     named = [(size, {FIELD_NAMES[d]: f1 for d, f1 in f1s.items()}) for size, f1s in curve.points]
     assert named == points
     assert curve.stabilization_size == stabilization
+
+
+_ILLEGAL = DiagnosisRecord(PeriodontalStatus.GINGIVITIS, stage=Stage.I)  # gingivitis has no stage
+_ANY_RECORD = st.one_of(st.none(), st.just(_ILLEGAL), st.sampled_from(LEGAL_RECORDS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    notes=st.lists(
+        st.tuples(st.sampled_from(["site1", "site2", "site3"]), _ANY_RECORD, _ANY_RECORD),
+        min_size=1,
+        max_size=60,
+    ),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_evaluate_corpus_scores_each_site_like_evaluate_records(notes, seed):
+    gold = [
+        AnnotatedNote(note=Note(f"n-{i}", site, "x"), record=record)
+        for i, (site, record, _) in enumerate(notes)
+    ]
+    pred = [n.with_(record=record) for n, (_, _, record) in zip(gold, notes)]
+    random.Random(seed).shuffle(pred)
+    results = evaluate_corpus(gold, pred)
+    assert list(results) == sorted({site for site, _, _ in notes})
+    pred_records = {n.note.note_id: n.record for n in pred}
+    for site, (matrices, table) in results.items():
+        site_gold = {n.note.note_id: n.record for n in gold if n.note.site_id == site}
+        want_matrices, want_table = evaluate_records(
+            site_gold, {nid: pred_records[nid] for nid in site_gold}, site
+        )
+        assert table.site == site
+        for i, dimension in enumerate(DIMENSIONS):
+            assert matrices[dimension] == want_matrices[dimension]
+            assert table.dimensions[i] == want_table.dimensions[i]
+            name = FIELD_NAMES[dimension]
+            pairs = [
+                (_field_label(record, name), _field_label(pred_records[nid], name))
+                for nid, record in site_gold.items()
+            ]
+            assert matrices[dimension] == build_confusion(pairs, dimension)
