@@ -5,6 +5,10 @@ explicit seed so results replay exactly. Exit codes: 0 success, 2 usage or
 configuration error, 1 data failure: any other `ValueError` from the library,
 an `OSError` or a `GenerationError`.
 
+Each subcommand loads only the library modules it runs: this module imports
+`perioparse.model` alone, for the parser's choices, and each `_cmd_*` imports
+the rest, so `--help` and `split` never load the grammar or the scorer.
+
 Each subcommand checks all its flags and config values before it opens any
 input file, so a refused one exits 2 having read and written nothing. The one
 exception: `synth --online` checks the endpoint URL's form and the API key
@@ -26,56 +30,27 @@ import sys
 import typing
 from pathlib import Path
 
-from .corpus import (
-    AnnotationSource,
-    atomic_write_text,
-    cohort_filter,
-    iter_corpus,
-    load_external_predictions,
-    read_corpus,
-    read_patient_meta,
-    split_corpus,
-    write_corpus,
-    write_manifest,
-)
-from .evaluation import evaluate_corpus, learning_curve, notes_by_site
-from .extraction import MODES, diagnose, group_statements
-from .llm import ConfigurationError, GenerationConfig, GenerationError, generate_llm
-from .model import Dimension
-from .normalization import adjudicate, classify_guideline_version, infer_status_context
-from .reporting import (
-    REPORT_FORMATS,
-    average_rows,
-    bar_chart_data,
-    confusion_chart_data,
-    json_text,
-    learning_curve_to_obj,
-    render_report,
-)
-from .synthesis import (
-    DEFAULT_PROMPT_SECTIONS,
-    PERTURBATION_RATES,
-    PerturbationSpec,
-    iter_offline,
-    read_prompt_sections,
-    select_seed_templates,
-    templates_from_corpus,
-    validate_labels,
-    verdict_to_obj,
-)
+from .model import MODES, REPORT_FORMATS, Dimension
 
 
 class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-# Every accepted config key and the type its value converts to; the request
-# timeout is a library setting only.
-_CONFIG_TYPES = {
-    **{k: t for k, t in typing.get_type_hints(GenerationConfig).items() if k != "request_timeout"},
-    "prompt_file": str,
-    **dict.fromkeys(PERTURBATION_RATES, float),
-}
+def _config_types() -> dict:
+    """Every accepted config key and the type its value converts to.
+
+    The request timeout is a library setting only. Built per call, as it loads `llm`.
+    """
+    from .llm import GenerationConfig
+    from .synthesis import PERTURBATION_RATES
+
+    hints = typing.get_type_hints(GenerationConfig)
+    return {
+        **{k: t for k, t in hints.items() if k != "request_timeout"},
+        "prompt_file": str,
+        **dict.fromkeys(PERTURBATION_RATES, float),
+    }
 
 
 def read_config(path) -> dict:
@@ -83,6 +58,7 @@ def read_config(path) -> dict:
 
     An unknown or repeated key, or a value of the wrong type, is a usage error naming the key.
     """
+    config_types = _config_types()
     values: dict = {}
     seen: dict[str, int] = {}  # key -> line it was set on
     try:
@@ -96,14 +72,14 @@ def read_config(path) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_TYPES:
-            known = ", ".join(_CONFIG_TYPES)
+        if key not in config_types:
+            known = ", ".join(config_types)
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}; accepted: {known}")
         if key in seen:
             raise UsageError(f"{path}:{lineno}: config key {key!r} already set on line {seen[key]}")
         seen[key] = lineno
         try:
-            values[key] = _CONFIG_TYPES[key](value)
+            values[key] = config_types[key](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -132,6 +108,8 @@ _SYNTH_BATCH = 64
 
 
 def _cmd_cohort(args) -> int:
+    from .corpus import cohort_filter, iter_corpus, read_patient_meta, write_corpus
+
     notes = iter_corpus(args.corpus_in)
     first = list(itertools.islice(notes, 1))  # a missing corpus is named before the meta file
     meta_by_id = read_patient_meta(args.meta_in)
@@ -152,6 +130,20 @@ def _cmd_cohort(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .corpus import iter_corpus, read_corpus, write_corpus
+    from .llm import GenerationConfig, generate_llm
+    from .synthesis import (
+        DEFAULT_PROMPT_SECTIONS,
+        PERTURBATION_RATES,
+        PerturbationSpec,
+        iter_offline,
+        read_prompt_sections,
+        select_seed_templates,
+        templates_from_corpus,
+        validate_labels,
+        verdict_to_obj,
+    )
+
     try:
         if args.seed is None and (args.corpus or args.offline):
             raise UsageError("--seed is required with --corpus and with --offline")
@@ -219,6 +211,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .corpus import iter_corpus, split_corpus, write_manifest
+
     ratios = _parse_ratios(args.ratios)
     manifest = split_corpus(iter_corpus(args.corpus_in), ratios=ratios, seed=args.seed)
     write_manifest(manifest, args.manifest_out)
@@ -228,6 +222,16 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .corpus import (
+        AnnotationSource,
+        iter_corpus,
+        load_external_predictions,
+        read_corpus,
+        write_corpus,
+    )
+    from .extraction import diagnose, group_statements
+    from .normalization import adjudicate, classify_guideline_version, infer_status_context
+
     kind, _, path = args.extractor.partition("=")
     if args.extractor != "builtin" and not (kind == "predictions" and path):
         raise UsageError(
@@ -273,6 +277,17 @@ _CURVE_FLAGS = {
 
 
 def _cmd_evaluate(args) -> int:
+    from .corpus import atomic_write_text, iter_corpus, read_corpus
+    from .evaluation import evaluate_corpus, learning_curve, notes_by_site
+    from .reporting import (
+        average_rows,
+        bar_chart_data,
+        confusion_chart_data,
+        json_text,
+        learning_curve_to_obj,
+        render_report,
+    )
+
     given = {flag: getattr(args, name) for flag, name in _CURVE_FLAGS.items()}
     given = {flag: value for flag, value in given.items() if value is not None}
     if given and not args.curve:
@@ -288,12 +303,14 @@ def _cmd_evaluate(args) -> int:
     read = read_corpus if args.curve else iter_corpus  # the curve shuffles the whole gold pool
     gold, pred = read(args.gold_in), read(args.pred_in)
     results = evaluate_corpus(gold, pred)
+    if not results:  # every gold note has a site, so only an empty gold corpus gives none
+        raise ValueError("no gold notes to score")
 
     out_dir = Path(args.out_dir)
     tables = [table for _, table in results.values()]
     matrices_by_site = {site: matrices for site, (matrices, _) in results.items()}
-    ext, _ = REPORT_FORMATS[args.report]
-    atomic_write_text(out_dir / f"report.{ext}", render_report(tables, args.report))
+    report = out_dir / f"report.{REPORT_FORMATS[args.report]}"
+    atomic_write_text(report, render_report(tables, args.report))
     atomic_write_text(out_dir / "confusion.json", json_text(confusion_chart_data(matrices_by_site)))
     atomic_write_text(out_dir / "bar_chart.json", json_text(bar_chart_data(tables)))
 
@@ -386,12 +403,16 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, GenerationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, RuntimeError, OSError) as exc:
+        from .llm import ConfigurationError, GenerationError  # loaded here only on failure
+
+        if isinstance(exc, ConfigurationError):
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, (ValueError, GenerationError, OSError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        raise
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 from .model import (
     FIELD_NAMES,
+    MODES,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -97,8 +98,6 @@ _LEXICON: dict[str, dict] = {
 #: The offline typo injector rejects a typo within one edit of any of them
 #: but its source word, so a typo always resolves back to that word.
 GRAMMAR_WORDS = tuple(w for words in _LEXICON.values() for w in words if len(w) >= 4)
-
-MODES = ("strict", "informal")
 
 # Hedge cues, matched as whole words: "unlikely" is not "likely".
 _HEDGE_RE = re.compile(

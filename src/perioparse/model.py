@@ -7,6 +7,8 @@ safe to share across threads. `validate_record` reads the one legality table,
 of the shared instances in `LEGAL_RECORDS`, never a new record. The corpus
 codec and the scorer spell a record's fields through `field_values` alone.
 `STATUSES_BY_SEVERITY` is the one severity order (most severe first).
+`MODES` and `REPORT_FORMATS` are spelled here, beside `Dimension`, because
+the CLI's parser offers them and every subcommand loads this module.
 """
 
 from __future__ import annotations
@@ -286,3 +288,10 @@ class Statement:
 
 
 _STATEMENT_SLOTS = _slot_setters(Statement)
+
+
+#: Extraction modes, the `--mode` choices of `extract`.
+MODES = ("strict", "informal")
+
+#: Report format name -> file extension, in `--report` choice order.
+REPORT_FORMATS = {"text-table": "txt", "csv": "csv", "json": "json"}

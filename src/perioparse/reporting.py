@@ -15,7 +15,7 @@ import io
 import json
 
 from .evaluation import ConfusionMatrix, LearningCurve, MetricsTable
-from .model import Dimension
+from .model import REPORT_FORMATS, Dimension
 
 DIMENSION_TITLES = {dim: dim.value for dim in Dimension} | {Dimension.STATUS: "Periodontal status"}
 
@@ -137,11 +137,11 @@ def learning_curve_to_obj(curve: LearningCurve) -> dict:
     }
 
 
-#: Report format name -> (file extension, renderer), in `--report` choice order.
-REPORT_FORMATS = {
-    "text-table": ("txt", render_text_table),
-    "csv": ("csv", render_csv),
-    "json": ("json", lambda tables: json_text(tables_to_obj(tables))),
+# The renderer of each report file, by the extension `REPORT_FORMATS` gives its format.
+_RENDERERS = {
+    "txt": render_text_table,
+    "csv": render_csv,
+    "json": lambda tables: json_text(tables_to_obj(tables)),
 }
 
 
@@ -151,4 +151,4 @@ def render_report(tables: list[MetricsTable], format: str = "text-table") -> str
         raise ValueError(
             f"unsupported report format {format!r}; expected one of {tuple(REPORT_FORMATS)}"
         )
-    return REPORT_FORMATS[format][1](tables)
+    return _RENDERERS[REPORT_FORMATS[format]](tables)

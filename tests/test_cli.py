@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from perioparse.cli import _CONFIG_TYPES, main, read_config
+from perioparse.cli import _config_types, main, read_config
 from perioparse.corpus import (
     AnnotatedNote,
     Note,
@@ -527,7 +527,7 @@ def test_readme_lists_exactly_the_accepted_config_keys(tmp_path):
     block = readme.split("### Config file", 1)[1].split("```", 2)[1]
     config = tmp_path / "readme.cfg"
     config.write_text(block, encoding="utf-8")
-    assert set(read_config(config)) == set(_CONFIG_TYPES)
+    assert set(read_config(config)) == set(_config_types())
 
 
 def test_offline_synth_accepts_every_config_key(tmp_path, template_file):
@@ -806,6 +806,16 @@ def test_evaluate_mismatched_ids(tmp_path, template_file, capsys):
     write_corpus(notes[:-1], short)
     assert run("evaluate", corpus, short, tmp_path / "eval") == 1
     assert "missing from predictions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve", [[], ["--curve"]], ids=["report", "curve"])
+def test_evaluate_refuses_an_empty_gold_corpus(tmp_path, capsys, curve):
+    empty = tmp_path / "empty.jsonl"
+    write_corpus([], empty)
+    out_dir = tmp_path / "eval"
+    assert run("evaluate", empty, empty, out_dir, *curve) == 1
+    assert capsys.readouterr() == ("", "error: no gold notes to score\n")
+    assert not out_dir.exists()
 
 
 def test_evaluate_curve_30_step_points(tmp_path, template_file):
