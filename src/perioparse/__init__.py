@@ -27,18 +27,16 @@ _EXPORTS = {
         "Token", "diagnose", "extract_entities", "extract_statements", "group_statements",
         "normalize_value", "tokenize",
     ),
-    "llm": ("ConfigurationError", "GenerationConfig", "GenerationError", "generate_llm"),
+    "llm": ("ConfigurationError", "GenerationError", "generate_llm"),
     "model": (
-        "DiagnosisRecord", "Dimension", "EntitySpan", "Extent", "Grade", "PeriodontalStatus",
-        "Stage", "Statement", "Subtype", "join", "validate_record",
+        "DiagnosisRecord", "Dimension", "EntitySpan", "Extent", "Grade", "GuidelineVersion",
+        "PeriodontalStatus", "Stage", "Statement", "Subtype", "join", "validate_record",
     ),
-    "normalization": (
-        "GuidelineVersion", "adjudicate", "classify_guideline_version", "infer_status_context",
-    ),
+    "normalization": ("adjudicate", "classify_guideline_version", "infer_status_context"),
     "synthesis": (
-        "CLEAN", "PerturbationSpec", "PromptSections", "QAVerdict", "SeedTemplate",
-        "TemplateSelectionError", "build_prompt", "generate_offline", "select_seed_templates",
-        "validate_labels",
+        "CLEAN", "GenerationConfig", "PerturbationSpec", "PromptSections", "QAVerdict",
+        "SeedTemplate", "TemplateSelectionError", "build_prompt", "generate_offline",
+        "select_seed_templates", "validate_labels",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -40,14 +40,13 @@ class UsageError(ValueError):
 def _config_types() -> dict:
     """Every accepted config key and the type its value converts to.
 
-    The request timeout is a library setting only. Built per call, as it loads `llm`.
+    The keys are `synthesis.GenerationConfig`'s fields, `prompt_file` and the
+    perturbation rates. Built per call, as it loads `synthesis`.
     """
-    from .llm import GenerationConfig
-    from .synthesis import PERTURBATION_RATES
+    from .synthesis import PERTURBATION_RATES, GenerationConfig
 
-    hints = typing.get_type_hints(GenerationConfig)
     return {
-        **{k: t for k, t in hints.items() if k != "request_timeout"},
+        **typing.get_type_hints(GenerationConfig),
         "prompt_file": str,
         **dict.fromkeys(PERTURBATION_RATES, float),
     }
@@ -131,10 +130,10 @@ def _cmd_cohort(args) -> int:
 
 def _cmd_synth(args) -> int:
     from .corpus import iter_corpus, read_corpus, write_corpus
-    from .llm import GenerationConfig, generate_llm
     from .synthesis import (
         DEFAULT_PROMPT_SECTIONS,
         PERTURBATION_RATES,
+        GenerationConfig,
         PerturbationSpec,
         iter_offline,
         read_prompt_sections,
@@ -174,6 +173,8 @@ def _cmd_synth(args) -> int:
             for key in service:
                 if key not in settings:
                     raise UsageError(f"--online requires {key!r} in the config file")
+            from .llm import generate_llm
+
             generate = functools.partial(generate_llm, config=gen_config, sections=sections)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

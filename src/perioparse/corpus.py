@@ -27,13 +27,13 @@ from .model import (
     DiagnosisRecord,
     Dimension,
     EntitySpan,
+    GuidelineVersion,
     PeriodontalStatus,
     _slot_setters,
     field_values,
     span_violations,
     validate_record,
 )
-from .normalization import GuidelineVersion
 
 PARTITIONS = ("train", "validation", "test")
 

@@ -10,16 +10,14 @@ from __future__ import annotations
 import json
 import os
 import urllib.parse
-from dataclasses import dataclass
 
 from .corpus import AnnotatedNote, AnnotationSource, Note, Provenance
 from .synthesis import (
     DEFAULT_PROMPT_SECTIONS,
+    GenerationConfig,
     PromptSections,
     SeedTemplate,
-    VARIANTS_PER_TEMPLATE,
     build_prompt,
-    check_variants,
     parse_label_trailer,
 )
 
@@ -32,28 +30,7 @@ class GenerationError(RuntimeError):
     """A generation request failed after exhausting its retries."""
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    model_name: str
-    endpoint_url: str
-    variants_per_template: int = VARIANTS_PER_TEMPLATE
-    temperature: float = 1.0
-    top_p: float = 1.0
-    max_concurrent_requests: int = 4
-    retry_limit: int = 3
-    api_key_env: str = "OPENAI_API_KEY"
-    request_timeout: float = 60.0
-
-    def __post_init__(self):
-        check_variants(self.variants_per_template)
-        for name in ("temperature", "top_p"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 2.0:
-                raise ValueError(f"{name} must be within (0, 2], got {value}")
-        if self.max_concurrent_requests < 1:
-            raise ValueError("max_concurrent_requests must be at least 1")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be non-negative")
+REQUEST_TIMEOUT = 60.0  # seconds a chat-completion request may wait for the endpoint
 
 
 def _complete(
@@ -80,7 +57,7 @@ def _complete(
     last_error = None
     for _ in range(attempts):
         try:
-            with opener.open(request, timeout=config.request_timeout) as response:
+            with opener.open(request, timeout=REQUEST_TIMEOUT) as response:
                 status, payload = response.status, response.read()
         except urllib.error.HTTPError as exc:
             status, payload = exc.code, b""

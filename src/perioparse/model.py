@@ -95,6 +95,14 @@ class Dimension(_Value):
     SUBTYPE = "Subtype"
 
 
+class GuidelineVersion(enum.Enum):
+    """Which diagnostic guideline generation a record's documentation reflects."""
+
+    CURRENT_2018 = "Current2018"
+    LEGACY = "Legacy"
+    NOT_APPLICABLE = "NotApplicable"
+
+
 #: The dimensions in record field order, which is their definition order.
 DIMENSIONS = tuple(Dimension)
 

@@ -9,7 +9,6 @@ Spans arrive already canonical: what a surface string means is decided in
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable, Sequence
 
 from .model import (
@@ -17,6 +16,7 @@ from .model import (
     Dimension,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
     Statement,
@@ -24,14 +24,6 @@ from .model import (
     join,
     legalized,
 )
-
-
-class GuidelineVersion(enum.Enum):
-    """Which diagnostic guideline generation a record's documentation reflects."""
-
-    CURRENT_2018 = "Current2018"
-    LEGACY = "Legacy"
-    NOT_APPLICABLE = "NotApplicable"
 
 
 def statement_candidate(statement: Statement) -> DiagnosisRecord | None:

@@ -1,4 +1,5 @@
-"""Synthetic-corpus machinery: seed templates, prompts, and the offline engine.
+"""Synthetic-corpus machinery: seed templates, prompts, the offline engine, and
+both engines' settings (`PerturbationSpec` offline, `GenerationConfig` for `llm`).
 
 The offline generator is a deterministic stand-in for a hosted LLM: it
 renders notes whose diagnosis sentences it fully controls, so every note
@@ -89,6 +90,29 @@ def check_variants(variants_per_template: int) -> None:
     """Reject a variants-per-template count below one."""
     if variants_per_template < 1:
         raise ValueError("variants_per_template must be at least 1")
+
+
+@dataclass(frozen=True)
+class GenerationConfig:
+    model_name: str
+    endpoint_url: str
+    variants_per_template: int = VARIANTS_PER_TEMPLATE
+    temperature: float = 1.0
+    top_p: float = 1.0
+    max_concurrent_requests: int = 4
+    retry_limit: int = 3
+    api_key_env: str = "OPENAI_API_KEY"
+
+    def __post_init__(self):
+        check_variants(self.variants_per_template)
+        for name in ("temperature", "top_p"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 2.0:
+                raise ValueError(f"{name} must be within (0, 2], got {value}")
+        if self.max_concurrent_requests < 1:
+            raise ValueError("max_concurrent_requests must be at least 1")
+        if self.retry_limit < 0:
+            raise ValueError("retry_limit must be non-negative")
 
 
 def select_seed_templates(

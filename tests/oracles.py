@@ -16,13 +16,13 @@ from perioparse.model import (
     EntitySpan,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
     Subtype,
     span_violations,
     validate_record,
 )
-from perioparse.normalization import GuidelineVersion
 
 _SEVERITY = ["Health", "Gingivitis", "Periodontitis"]
 _STAGE_ORDER = ["I", "II", "III", "IV"]

@@ -37,11 +37,11 @@ from perioparse.model import (
     Dimension,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
 )
 from perioparse.normalization import (
-    GuidelineVersion,
     adjudicate,
     classify_guideline_version,
     infer_status_context,

@@ -17,17 +17,17 @@ from perioparse.corpus import (
 )
 from perioparse.demo import demo_seed_notes, demo_seed_templates
 from perioparse.evaluation import learning_curve, notes_by_site
-from perioparse.extraction import MODES, extract_entities
+from perioparse.extraction import MODES, diagnose, extract_entities
 from perioparse.model import (
     DiagnosisRecord,
     Dimension,
     EntitySpan,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
 )
-from perioparse.normalization import GuidelineVersion
 from perioparse.reporting import json_text, learning_curve_to_obj
 from perioparse.synthesis import PERTURBATION_RATES, generate_offline
 
@@ -298,6 +298,36 @@ def test_synth_online_against_mock_endpoint(tmp_path, monkeypatch):
         endpoint.close()
 
 
+def test_synth_online_fix_labels_writes_the_grammars_record(tmp_path, monkeypatch, capsys):
+    from test_llm import MockEndpoint
+
+    monkeypatch.setenv("PERIOPARSE_TEST_KEY", "key")
+    templates = tmp_path / "templates.jsonl"
+    write_corpus(demo_seed_notes(per_category=1), templates)  # 3 templates
+    endpoint = MockEndpoint()  # a note with no diagnosis sentence, and the requested trailer
+    try:
+        config = tmp_path / "gen.cfg"
+        config.write_text(
+            f"model_name = gpt-test\nendpoint_url = {endpoint.url}\n"
+            "api_key_env = PERIOPARSE_TEST_KEY\n",
+            encoding="utf-8",
+        )
+        argv = ["synth", "--online", "--templates", templates, "--config", config,
+                "--variants", 2, "--out"]
+        assert run(*argv, tmp_path / "flagged.jsonl") == 1
+        assert "6 notes failed label QA" in capsys.readouterr().out
+        fixed_out = tmp_path / "fixed.jsonl"
+        assert run(*argv, fixed_out, "--fix-labels") == 0
+    finally:
+        endpoint.close()
+    fixed = read_corpus(fixed_out)
+    assert len(fixed) == 6
+    for n in fixed:
+        assert n.qa["auto_fixed"] and not n.qa["consistent"]
+        assert n.record is None  # the grammar's record: the text holds no diagnosis
+        assert diagnose(n.note.text, "informal")[1] is None
+
+
 def test_synth_online_completion_without_text_is_one_error_line(
     tmp_path, template_file, monkeypatch, capsys
 ):
@@ -402,6 +432,7 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
             "typo_rate = 0.9\ntypo_rate = 0.0\n", ["synth"],
             ":2: config key 'typo_rate' already set on line 1",
         ),
+        ("typo_rate 0.1\n", ["synth"], ":1: expected key = value, got 'typo_rate 0.1'"),
     ],
     ids=[
         "variants-not-a-number", "rate-not-a-number", "zero-variants", "zero-curve-step",
@@ -409,7 +440,7 @@ def test_synth_perturbation_config_and_fix_labels(tmp_path, template_file, capsy
         "infinite-epsilon", "step-without-curve", "epsilon-without-curve",
         "window-without-curve", "curve-seed-without-curve", "dimension-without-curve",
         "misspelled-key", "temperature-not-a-number",
-        "fractional-concurrency", "duplicate-key",
+        "fractional-concurrency", "duplicate-key", "line-without-equals",
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, template_file, capsys, config_text, argv, named):
@@ -499,6 +530,8 @@ _ONLINE = "model_name = m\nendpoint_url = http://localhost:9/v1\n"
         (["synth", "--offline", "--corpus", "IN", "--seed", 1, "--per-category", 0], "",
          "--per-category must be at least 1"),
         (["split", "IN", "OUT", "--ratios", "1:2", "--seed", 1], "", "--ratios"),
+        (["split", "IN", "OUT", "--ratios", "8:x:1", "--seed", 1], "",
+         "--ratios has a non-numeric part: '8:x:1'"),
         (["extract", "IN", "OUT", "--extractor", "predictions="], "",
          "--extractor must be 'builtin' or 'predictions=<path>', got 'predictions='"),
     ],
@@ -506,7 +539,7 @@ _ONLINE = "model_name = m\nendpoint_url = http://localhost:9/v1\n"
         "corpus-zero-variants", "rate-out-of-range", "temperature-out-of-range",
         "online-without-endpoint", "offline-checks-temperature", "online-checks-rates",
         "seed-with-online-templates", "per-category-with-templates",
-        "per-category-below-one", "two-ratios", "empty-predictions-path",
+        "per-category-below-one", "two-ratios", "non-numeric-ratio", "empty-predictions-path",
     ],
 )
 def test_refused_values_exit_2_before_any_input_is_read(tmp_path, capsys, argv, config_text, named):

@@ -2,7 +2,7 @@
 
 Offline steps must not load the HTTP/TLS stack; only `synth --online` uses it.
 Importing the package or the CLI loads no library module beyond `model`, and
-each subcommand loads only the modules it calls. `from perioparse import X`
+each subcommand loads exactly the modules it calls. `from perioparse import X`
 resolves X on first use.
 """
 
@@ -77,28 +77,32 @@ def three_notes(tmp_path_factory):
     return work
 
 
-# Each subcommand run, and the modules it may load besides `cli`.
-_BASE = {"corpus", "model", "normalization"}
+# Each subcommand run, and the modules it loads besides `cli`.
+_BASE = {"corpus", "model"}
+_SCORE = _BASE | {"evaluation", "reporting"}
 FOOTPRINTS = {
     "cohort": (["cohort", "CORPUS", "META", "OUT"], _BASE),
     "split": (["split", "CORPUS", "OUT", "--seed", "1"], _BASE),
-    "extract": (["extract", "CORPUS", "OUT", "--mode", "informal"], _BASE | {"extraction"}),
-    "evaluate": (["evaluate", "CORPUS", "CORPUS", "OUT"], _BASE | {"evaluation", "reporting"}),
+    "extract": (
+        ["extract", "CORPUS", "OUT", "--mode", "informal"], _BASE | {"extraction", "normalization"}
+    ),
+    "evaluate": (["evaluate", "CORPUS", "CORPUS", "OUT"], _SCORE),
+    "evaluate-curve": (["evaluate", "CORPUS", "CORPUS", "OUT", "--curve", "--step", "1"], _SCORE),
     "synth-offline": (
         ["synth", "--offline", "--templates", "CORPUS", "--seed", "1", "--variants", "1",
          "--out", "OUT"],
-        _BASE | {"extraction", "synthesis", "llm", "demo"},
+        _BASE | {"extraction", "normalization", "synthesis"},
     ),
 }
 
 
 @pytest.mark.parametrize("name", FOOTPRINTS)
 def test_each_subcommand_loads_only_the_modules_it_runs(three_notes, name):
-    argv, allowed = FOOTPRINTS[name]
+    argv, expected = FOOTPRINTS[name]
     paths = {"CORPUS": "notes.jsonl", "META": "meta.jsonl", "OUT": name}
     argv = [str(three_notes / paths[arg]) if arg in paths else arg for arg in argv]
     code = f"from perioparse.cli import main\nif main({argv!r}):\n    sys.exit('failed')"
-    assert _loaded(code) - {"cli"} <= allowed
+    assert _loaded(code) - {"cli"} == expected
 
 
 # The public names, under the modules that define them.
@@ -117,18 +121,16 @@ PUBLIC_NAMES = {
         "Token", "diagnose", "extract_entities", "extract_statements", "group_statements",
         "normalize_value", "tokenize",
     ],
-    "llm": ["ConfigurationError", "GenerationConfig", "GenerationError", "generate_llm"],
+    "llm": ["ConfigurationError", "GenerationError", "generate_llm"],
     "model": [
-        "DiagnosisRecord", "Dimension", "EntitySpan", "Extent", "Grade", "PeriodontalStatus",
-        "Stage", "Statement", "Subtype", "join", "validate_record",
+        "DiagnosisRecord", "Dimension", "EntitySpan", "Extent", "Grade", "GuidelineVersion",
+        "PeriodontalStatus", "Stage", "Statement", "Subtype", "join", "validate_record",
     ],
-    "normalization": [
-        "GuidelineVersion", "adjudicate", "classify_guideline_version", "infer_status_context",
-    ],
+    "normalization": ["adjudicate", "classify_guideline_version", "infer_status_context"],
     "synthesis": [
-        "CLEAN", "PerturbationSpec", "PromptSections", "QAVerdict", "SeedTemplate",
-        "TemplateSelectionError", "build_prompt", "generate_offline", "select_seed_templates",
-        "validate_labels",
+        "CLEAN", "GenerationConfig", "PerturbationSpec", "PromptSections", "QAVerdict",
+        "SeedTemplate", "TemplateSelectionError", "build_prompt", "generate_offline",
+        "select_seed_templates", "validate_labels",
     ],
 }
 DEFINED = {
@@ -143,6 +145,12 @@ def test_the_package_exports_each_public_name_from_its_module():
     assert len(set(perioparse.__all__)) == len(perioparse.__all__)
     for name, obj in DEFINED.items():
         assert getattr(perioparse, name) is obj, name
+    # Each name is filed under the module that defines it, not one that imports it
+    # (`llm` imports `GenerationConfig`); `NA` is a plain value and names no module.
+    for module, names in PUBLIC_NAMES.items():
+        for name in names:
+            owner = getattr(DEFINED[name], "__module__", f"perioparse.{module}")
+            assert owner == f"perioparse.{module}" and name in perioparse._EXPORTS[module], name
 
 
 def test_dir_lists_every_public_name_before_any_is_loaded():

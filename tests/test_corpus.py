@@ -41,11 +41,11 @@ from perioparse.model import (
     EntitySpan,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
     field_values,
 )
-from perioparse.normalization import GuidelineVersion
 from perioparse.synthesis import PERTURBATION_RATES, PerturbationSpec, generate_offline
 
 
@@ -525,6 +525,26 @@ def test_meta_lines_hold_note_id_and_the_four_fields(tmp_path):
     with pytest.raises(CorpusFormatError) as info:
         read_patient_meta(path)
     assert str(info.value) == f"{path}:1: malformed meta record: unknown meta field 'agee'"
+
+
+@pytest.mark.parametrize(
+    "read, what, good",
+    [
+        (read_corpus, "record", _GOOD),
+        (read_patient_meta, "meta record", json.dumps({"note_id": "a", **_META})),
+        (lambda path: load_external_predictions(path, [make_note("a", "x")]),
+         "prediction record", '{"note_id": "a", "spans": []}'),
+    ],
+    ids=["corpus", "meta", "prediction"],
+)
+def test_blank_lines_are_skipped_and_still_counted(tmp_path, read, what, good):
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"\n \t\n{good}\n\r\n", encoding="utf-8")
+    assert len(read(path)) == 1
+    path.write_text(f"{good}\n\n   \n{{bad\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}:4: malformed {what}: ")
 
 
 def test_a_prediction_line_may_hold_any_corpus_line_key(tmp_path):

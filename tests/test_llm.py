@@ -7,13 +7,8 @@ import pytest
 
 from perioparse.corpus import AnnotationSource, Provenance
 from perioparse.demo import demo_seed_templates
-from perioparse.llm import (
-    ConfigurationError,
-    GenerationConfig,
-    GenerationError,
-    generate_llm,
-)
-from perioparse.synthesis import build_prompt, trailer_for_record
+from perioparse.llm import ConfigurationError, GenerationError, generate_llm
+from perioparse.synthesis import GenerationConfig, build_prompt, trailer_for_record
 
 
 class MockEndpoint:
@@ -266,6 +261,10 @@ def test_config_validation():
         GenerationConfig(model_name="m", endpoint_url="u", top_p=2.5)
     with pytest.raises(ValueError):
         GenerationConfig(model_name="m", endpoint_url="u", variants_per_template=0)
+    with pytest.raises(ValueError, match="max_concurrent_requests must be at least 1"):
+        GenerationConfig(model_name="m", endpoint_url="u", max_concurrent_requests=0)
+    with pytest.raises(ValueError, match="retry_limit must be non-negative"):
+        GenerationConfig(model_name="m", endpoint_url="u", retry_limit=-1)
 
 
 def test_prompt_contains_trailer_instruction():

@@ -19,6 +19,7 @@ from perioparse.model import (
     EntitySpan,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
     Statement,
@@ -26,7 +27,6 @@ from perioparse.model import (
     is_valid_record,
 )
 from perioparse.normalization import (
-    GuidelineVersion,
     adjudicate,
     classify_guideline_version,
     infer_status_context,

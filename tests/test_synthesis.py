@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -24,8 +25,11 @@ from perioparse.synthesis import (
     PerturbationSpec,
     SeedTemplate,
     TemplateSelectionError,
+    _diagnosis_atoms,
+    _render,
     _secondary_record,
     build_prompt,
+    compose_note,
     generate_offline,
     parse_label_trailer,
     read_prompt_sections,
@@ -364,6 +368,51 @@ def test_informal_format_on_periodontitis_needs_informal_mode():
         if strict != note.record:
             strict_misses += 1
     assert strict_misses > 0  # informal phrasing defeats strict mode at least sometimes
+
+
+def test_informal_periodontitis_without_an_extent_renders_stage_arabic():
+    # `extent_roman` needs an extent; a record without one falls back to `stage_arabic`.
+    record = DiagnosisRecord(P, Stage.II, Grade.B)
+    spec = PerturbationSpec(informal_format_rate=1.0)
+    for seed in range(200):
+        text = compose_note(record, random.Random(seed), spec).note.text
+        assert "D: Stage 2 B." in text, text
+
+
+_ANCHORS = ("D:", "D-", "Diagnosis:", "Dx:", None)
+
+
+def _informal_styles(record):
+    """The informal styles `compose_note` may render a record in; None is the formal sentence."""
+    if record.status is not P or record.stage is None or record.grade is None:
+        return (None,)
+    return (None, "extent_roman", "stage_arabic") if record.extent else (None, "stage_arabic")
+
+
+def test_every_rendering_of_every_legal_record_reads_back():
+    reads = extent_dropped = 0
+    for record, anchor, secondary, seed in itertools.product(
+        LEGAL_RECORDS, _ANCHORS, (False, True), range(4)
+    ):
+        for style, distractor in itertools.product(
+            _informal_styles(record), (False,) if record.status is H else (False, True)
+        ):
+            rng = random.Random(seed)
+            atoms = _diagnosis_atoms(record, anchor, style, distractor, rng)
+            if secondary:
+                atoms += _diagnosis_atoms(_secondary_record(record, rng), "Dx:", None, False, rng)
+            text, spans = _render(atoms)
+            got_spans, got = diagnose(text, "informal")
+            reads += 1
+            assert got_spans == spans, text
+            if style == "stage_arabic" and record.extent is not None:
+                # A known defect of the offline gold: this style renders no extent
+                # word, yet the note's gold record keeps the template's extent.
+                extent_dropped += 1
+                assert got == DiagnosisRecord(P, record.stage, record.grade), text
+            else:
+                assert got == record, text
+    assert (reads, extent_dropped) == (10_720, 1_920)
 
 
 def test_rates_validated():
