@@ -230,7 +230,8 @@ def _slot_setters(cls) -> tuple:
 class EntitySpan:
     """A labeled character-offset span over note text, half-open [start, end).
 
-    ``value`` holds the normalized enum value for the span's dimension;
+    ``value`` holds the normalized enum value for the span's dimension, a member
+    of its `VALUE_CLASSES` class;
     ``raw_text`` is the exact surface slice, typos and all.
     """
 
@@ -243,6 +244,8 @@ class EntitySpan:
     def __init__(self, dimension: Dimension, value: object, start: int, end: int, raw_text: str):
         if start < 0 or end <= start:
             raise ValueError(f"bad span offsets [{start},{end})")
+        if type(value) is not VALUE_CLASSES[dimension]:
+            raise ValueError(f"{dimension.value} span value {value!r} is not a {dimension.value}")
         set_dimension, set_value, set_start, set_end, set_raw_text = _SPAN_SLOTS
         set_dimension(self, dimension)
         set_value(self, value)

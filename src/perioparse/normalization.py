@@ -3,6 +3,8 @@
 Each statement's spans give at most one candidate record, the candidates
 of a note are collapsed into the single most severe record, and a
 periodontitis record is flagged by the guideline generation it reflects.
+A statement's candidate is decided once per distinct set of span values
+(at most 2**15 sets) and looked up after that.
 Spans arrive already canonical: what a surface string means is decided in
 `extraction.py` alone.
 """
@@ -10,20 +12,40 @@ Spans arrive already canonical: what a surface string means is decided in
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import reduce
+from operator import attrgetter
 
 from .model import (
+    VALUE_CLASSES,
     DiagnosisRecord,
-    Dimension,
-    Extent,
-    Grade,
     GuidelineVersion,
     PeriodontalStatus,
-    Stage,
     Statement,
     Subtype,
     join,
     legalized,
 )
+
+
+def _candidate_of(values: frozenset) -> DiagnosisRecord | None:
+    """The candidate of a statement whose spans hold these values, each of its dimension's class."""
+    status, stage, grade, extent, subtypes = (
+        [value for value in values if type(value) is cls] for cls in VALUE_CLASSES.values()
+    )
+    if not status:
+        if not stage and not grade:
+            return None
+        status = [PeriodontalStatus.PERIODONTITIS]
+    top = (reduce(join, found, None) for found in (status, stage, grade, extent))
+    return legalized(*top, subtypes[0] if len(subtypes) == 1 else None)
+
+
+# Each statement's candidate, None included, keyed by its spans' set of values:
+# `join` is idempotent and commutative, so neither repeats nor order matter.
+# 15 values allow at most 2**15 keys, so nothing is evicted, and a write stores
+# the one value that key can have, so threads may share the dict.
+_CANDIDATES: dict[frozenset, DiagnosisRecord | None] = {}
+_span_value = attrgetter("value")
 
 
 def statement_candidate(statement: Statement) -> DiagnosisRecord | None:
@@ -33,39 +55,17 @@ def statement_candidate(statement: Statement) -> DiagnosisRecord | None:
     Statements carrying only an extent or subtype are too weak to ground a
     diagnosis and yield no candidate.
     """
-    status: PeriodontalStatus | None = None
-    stage: Stage | None = None
-    grade: Grade | None = None
-    extent: Extent | None = None
-    subtypes: set[Subtype] = set()
-    for span in statement.spans:
-        dimension = span.dimension
-        if dimension is Dimension.STATUS:
-            status = join(status, span.value)
-        elif dimension is Dimension.STAGE:
-            stage = join(stage, span.value)
-        elif dimension is Dimension.GRADE:
-            grade = join(grade, span.value)
-        elif dimension is Dimension.EXTENT:
-            extent = join(extent, span.value)
-        elif dimension is Dimension.SUBTYPE:
-            subtypes.add(span.value)
-    if status is None:
-        if stage is None and grade is None:
-            return None
-        status = PeriodontalStatus.PERIODONTITIS
-    subtype = subtypes.pop() if len(subtypes) == 1 else None
-    return legalized(status, stage, grade, extent, subtype)
+    values = frozenset(map(_span_value, statement.spans))
+    try:
+        return _CANDIDATES[values]
+    except KeyError:
+        candidate = _CANDIDATES[values] = _candidate_of(values)
+        return candidate
 
 
 def infer_status_context(statements: Iterable[Statement]) -> list[DiagnosisRecord]:
     """One candidate record per statement, skipping statements too weak to ground one."""
-    candidates = []
-    for statement in statements:
-        candidate = statement_candidate(statement)
-        if candidate is not None:
-            candidates.append(candidate)
-    return candidates
+    return [c for c in map(statement_candidate, statements) if c is not None]
 
 
 def adjudicate(candidates: Sequence[DiagnosisRecord]) -> DiagnosisRecord | None:

@@ -7,6 +7,8 @@ plain loops, so a bug cannot hide on both sides of a comparison.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import random
 
 from perioparse.corpus import AnnotatedNote, AnnotationSource, Note, PatientMeta, Provenance
@@ -20,6 +22,8 @@ from perioparse.model import (
     PeriodontalStatus,
     Stage,
     Subtype,
+    join,
+    legalized,
     span_violations,
     validate_record,
 )
@@ -86,6 +90,44 @@ def oracle_adjudicate(candidates) -> DiagnosisRecord | None:
     if winner_status.value == "Gingivitis":
         return DiagnosisRecord(winner_status, extent=extent, subtype=subtype)
     return DiagnosisRecord(winner_status, subtype=subtype)
+
+
+def oracle_statement_candidate(statement) -> DiagnosisRecord | None:
+    """A statement's candidate folded span by span, in order, each time it is asked for.
+
+    It shares `join` and `legalized` with the library, which `test_model` checks
+    on their own: this oracle checks the memo and its keying by value set.
+    """
+    status: PeriodontalStatus | None = None
+    stage: Stage | None = None
+    grade: Grade | None = None
+    extent: Extent | None = None
+    subtypes: set[Subtype] = set()
+    for span in statement.spans:
+        dimension = span.dimension
+        if dimension is Dimension.STATUS:
+            status = join(status, span.value)
+        elif dimension is Dimension.STAGE:
+            stage = join(stage, span.value)
+        elif dimension is Dimension.GRADE:
+            grade = join(grade, span.value)
+        elif dimension is Dimension.EXTENT:
+            extent = join(extent, span.value)
+        elif dimension is Dimension.SUBTYPE:
+            subtypes.add(span.value)
+    if status is None:
+        if stage is None and grade is None:
+            return None
+        status = PeriodontalStatus.PERIODONTITIS
+    subtype = subtypes.pop() if len(subtypes) == 1 else None
+    return legalized(status, stage, grade, extent, subtype)
+
+
+def calls_per(fn, *args, per: int) -> float:
+    """Python-level calls (cProfile's count, which no host speed moves) of `fn(*args)` per item."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return pstats.Stats(profile).total_calls / per
 
 
 def oracle_metrics_from_pairs(pairs, classes):

@@ -1,9 +1,7 @@
-import cProfile
 import dataclasses
 import itertools
 import json
 import os
-import pstats
 import random
 import stat
 
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import legal_records, oracle_note_from_obj
+from oracles import calls_per, legal_records, oracle_note_from_obj
 from perioparse import corpus, evaluation
 from perioparse.corpus import (
     PARTITIONS,
@@ -604,13 +602,6 @@ def test_slotted_notes_keep_their_dataclass_contracts():
         assert not hasattr(obj, "__dict__")
 
 
-def _calls_per_line(fn, *args, lines: int) -> float:
-    """Python-level calls (cProfile's count, which no host speed moves) per corpus line."""
-    profile = cProfile.Profile()
-    profile.runcall(fn, *args)
-    return pstats.Stats(profile).total_calls / lines
-
-
 def test_codec_calls_per_line_are_bounded(tmp_path):
     # 450 offline notes under corpus-short's perturbation rates. Measured at
     # 24.4 calls per line to read and 22.4 to write (70.8 and 37.2 when each
@@ -618,8 +609,8 @@ def test_codec_calls_per_line_are_bounded(tmp_path):
     rates = dict.fromkeys(PERTURBATION_RATES, 0.15)
     notes = generate_offline(demo_seed_templates(15), 10, PerturbationSpec(rng_seed=1, **rates))
     path = tmp_path / "corpus.jsonl"
-    assert _calls_per_line(write_corpus, notes, path, lines=len(notes)) <= 28
-    assert _calls_per_line(read_corpus, path, lines=len(notes)) <= 30
+    assert calls_per(write_corpus, notes, path, per=len(notes)) <= 28
+    assert calls_per(read_corpus, path, per=len(notes)) <= 30
     assert read_corpus(path) == notes
 
 

@@ -20,6 +20,7 @@ from perioparse.extraction import (
     extract_entities,
     extract_statements,
     group_statements,
+    normalize_value,
     reconstruct,
     tokenize,
     within_one_edit,
@@ -541,11 +542,14 @@ def test_grouping_the_grammars_spans_gives_its_statements(pieces, mode, rnd):
     ],
 )
 def test_grouping_predicted_spans_around_anchors(text, raws, statements):
+    # An anchor word ("Dx") reads as no value, so its span takes one a tagger might give it.
+    anchor_values = {_ST: PeriodontalStatus.PERIODONTITIS, _GR: Grade.A}
     spans, cursor = [], 0
     for dimension, raw in raws:
         start = text.index(raw, cursor)
         cursor = start + len(raw)
-        spans.append(EntitySpan(dimension, None, start, cursor, raw))
+        value = normalize_value(dimension, raw) or anchor_values[dimension]
+        spans.append(EntitySpan(dimension, value, start, cursor, raw))
     got = group_statements(text, spans[::-1])
     assert [[s.raw_text for s in st.spans] for st in got] == statements
 

@@ -7,6 +7,7 @@ import pytest
 from oracles import legal_records
 from perioparse.model import (
     LEGAL_RECORDS,
+    VALUE_CLASSES,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -165,12 +166,31 @@ def test_entity_span_rejects_bad_offsets():
         dataclasses.replace(EntitySpan(Dimension.STAGE, Stage.I, 1, 2, "a"), start=3)
 
 
+def test_entity_span_value_must_belong_to_its_dimension():
+    for dimension, cls in VALUE_CLASSES.items():
+        for value in (*itertools.chain.from_iterable(VALUE_CLASSES.values()), None, "II"):
+            if type(value) is cls:
+                assert EntitySpan(dimension, value, 0, 2, "xx").value is value
+            else:
+                with pytest.raises(ValueError, match=f"^{dimension.value} span value "):
+                    EntitySpan(dimension, value, 0, 2, "xx")
+    span = EntitySpan(Dimension.STAGE, Stage.II, 0, 2, "II")
+    with pytest.raises(ValueError, match=r"^Grade span value <Stage.II: 'II'> is not a Grade$"):
+        dataclasses.replace(span, dimension=Dimension.GRADE)
+
+
 def test_spans_and_statements_are_immutable_values():
     span = EntitySpan(Dimension.STAGE, Stage.II, 6, 8, "II")
     statement = Statement((span,), hedged=True, start=6, end=8)
-    for value, field_values in [
-        (span, (Dimension.STAGE, Stage.II, 6, 8, "II")),
-        (statement, ((span,), True, 6, 8)),
+    # A span's dimension changes only with its value, which must belong to it.
+    for value, field_values, changes in [
+        (span, (Dimension.STAGE, Stage.II, 6, 8, "II"), [
+            {"dimension": Dimension.GRADE, "value": Grade.B}, {"value": Stage.III},
+            {"start": 7}, {"end": 9}, {"raw_text": "I!"},
+        ]),
+        (statement, ((span,), True, 6, 8), [
+            {"spans": ()}, {"hedged": False}, {"start": 7}, {"end": 9},
+        ]),
     ]:
         names = [f.name for f in dataclasses.fields(value)]
         assert tuple(getattr(value, name) for name in names) == field_values
@@ -183,10 +203,11 @@ def test_spans_and_statements_are_immutable_values():
         assert twin == value and hash(twin) == hash(value) and twin is not value
         assert type(value)(**dict(zip(names, field_values))) == value
         assert value != field_values and field_values != value
-        for name, other in zip(names, (Dimension.GRADE, Grade.B, 7, 9, "I!")):
-            changed = dataclasses.replace(value, **{name: other})
-            assert getattr(changed, name) == other and changed != value
-            assert dataclasses.replace(changed, **{name: getattr(value, name)}) == value
+        for change in changes:
+            changed = dataclasses.replace(value, **change)
+            assert [getattr(changed, name) for name in change] == [*change.values()]
+            assert changed != value
+            assert dataclasses.replace(changed, **{n: getattr(value, n) for n in change}) == value
     assert Statement((span,)) == Statement((span,), False, 0, 0)
     assert len({span, EntitySpan(Dimension.STAGE, Stage.II, 6, 8, "II")}) == 1
 
