@@ -27,7 +27,8 @@ stage or grade ("Generalized Recession" and the "Localized" of "Localized
 Generalized Periodontitis" do not). Templated notes repeat sentences, so
 `_read_passage` reads and groups each sentence alone, in a bounded memo keyed
 by its text and the mode like `_lex`; one over `_MEMO_SENTENCE_CHARS`
-characters is read uncached. A tagger's spans are grouped by the same
+characters is read uncached. The statements read are moved to the note's
+offsets without a second check. A tagger's spans are grouped by the same
 function; only a sentence that holds one of them is searched for anchors.
 """
 
@@ -44,6 +45,8 @@ from typing import NamedTuple
 from .model import (
     FIELD_NAMES,
     MODES,
+    _SPAN_SLOTS,
+    _STATEMENT_SLOTS,
     DiagnosisRecord,
     Dimension,
     EntitySpan,
@@ -124,7 +127,9 @@ _ANCHOR_RE = re.compile(r"(?<![^\W_])([^\W_]+)\s*[:-]")
 # A sentence and its end marks; the passages cover every offset and none is empty.
 _PASSAGE_RE = re.compile(r"(?!\Z)[^.!?\n]*[.!?\n]*")
 _START = attrgetter("start")  # spans sort and bisect by where they start
-_MEMO_SENTENCE_CHARS = 1_000  # a longer sentence is read uncached: the memo pins at most ~4 MB
+# A longer sentence is read uncached, so the memo pins at most 4,096 x 1,000 characters of
+# sentence text: ~4 MB if ASCII, ~16 MB if astral (4 bytes each), plus their statements.
+_MEMO_SENTENCE_CHARS = 1_000
 
 
 class Token(NamedTuple):
@@ -432,23 +437,41 @@ def _read_passage(sentence: str, informal: bool) -> tuple[Statement, ...]:
 
 
 def _shifted(statement: Statement, offset: int) -> Statement:
-    spans = tuple(
-        EntitySpan(s.dimension, s.value, s.start + offset, s.end + offset, s.raw_text)
-        for s in statement.spans
-    )
-    return Statement(spans, statement.hedged, statement.start + offset, statement.end + offset)
+    """The memoized statement moved `offset` characters on, built past `EntitySpan`'s checks."""
+    # `_read_sentence` checked its spans, and a non-negative offset keeps them true.
+    new_span = EntitySpan.__new__
+    set_dimension, set_value, set_start, set_end, set_raw_text = _SPAN_SLOTS
+    spans = []
+    for s in statement.spans:
+        span = new_span(EntitySpan)
+        set_dimension(span, s.dimension)
+        set_value(span, s.value)
+        set_start(span, s.start + offset)
+        set_end(span, s.end + offset)
+        set_raw_text(span, s.raw_text)
+        spans.append(span)
+    moved = Statement.__new__(Statement)
+    set_spans, set_hedged, set_start, set_end = _STATEMENT_SLOTS
+    set_spans(moved, tuple(spans))
+    set_hedged(moved, statement.hedged)
+    set_start(moved, statement.start + offset)
+    set_end(moved, statement.end + offset)
+    return moved
 
 
 def extract_statements(text: str, mode: str = "strict") -> list[Statement]:
     """Extract diagnosis statements with their spans and hedge flags."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    informal = mode == "informal"
     statements: list[Statement] = []
-    for passage in _PASSAGE_RE.finditer(text):
-        sentence, offset = passage.group(), passage.start()
+    for passage in _PASSAGE_RE.finditer(text):  # lazy: a note's sentences are never all held
+        sentence = passage.group()
         read = _read_passage if len(sentence) <= _MEMO_SENTENCE_CHARS else _read_passage.__wrapped__
-        found = read(sentence, mode == "informal")
-        statements += found if not offset else (_shifted(s, offset) for s in found)
+        found = read(sentence, informal)
+        if found:  # most sentences yield nothing, and need no offset
+            offset = passage.start()
+            statements += [_shifted(s, offset) for s in found] if offset else found
     return statements
 
 
