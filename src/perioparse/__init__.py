@@ -20,13 +20,9 @@ _EXPORTS = {
     ),
     "evaluation": (
         "NA", "ClassMetrics", "ConfusionMatrix", "LearningCurve", "MetricsTable", "averages",
-        "build_confusion", "class_metrics", "detect_stabilization", "evaluate_corpus",
-        "evaluate_records", "learning_curve",
+        "evaluate_corpus", "learning_curve",
     ),
-    "extraction": (
-        "Token", "diagnose", "extract_entities", "extract_statements", "group_statements",
-        "normalize_value", "tokenize",
-    ),
+    "extraction": ("Token", "diagnose", "extract_statements", "group_statements", "tokenize"),
     "llm": ("ConfigurationError", "GenerationError", "generate_llm"),
     "model": (
         "DiagnosisRecord", "Dimension", "EntitySpan", "Extent", "Grade", "GuidelineVersion",

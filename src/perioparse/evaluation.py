@@ -7,8 +7,8 @@ never an averaged class.
 
 The one scoring state is a `Counter` of (gold record, predicted record) pairs, of
 which a corpus holds few; `_score` adds each distinct pair's count to the five matrices.
-`evaluate_records` and `evaluate_corpus` count each site's pairs once, and
-`learning_curve` adds each step's counts to running matrices.
+`evaluate_corpus` counts each site's pairs once, and `learning_curve` adds each
+step's counts to running matrices.
 """
 
 from __future__ import annotations
@@ -164,17 +164,6 @@ def _score(matrices: dict[Dimension, ConfusionMatrix], pairs: Counter, site: str
         metrics = all_class_metrics(matrices[dim])
         dims.append(DimensionMetrics(dim, tuple(metrics), *averages(metrics)))
     return MetricsTable(site, tuple(dims))
-
-
-def evaluate_records(
-    gold: dict[str, DiagnosisRecord | None],
-    pred: dict[str, DiagnosisRecord | None],
-    site: str = "site1",
-) -> tuple[dict[Dimension, ConfusionMatrix], MetricsTable]:
-    """Score aligned gold/predicted records, keyed by note id."""
-    _require_same_ids(gold, pred)
-    matrices = {dim: build_confusion((), dim) for dim in DIMENSIONS}
-    return matrices, _score(matrices, Counter((gold[nid], pred[nid]) for nid in gold), site)
 
 
 def notes_by_site(notes) -> dict[str, list]:

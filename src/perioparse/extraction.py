@@ -1,8 +1,7 @@
 """Rule-grammar extraction of diagnosis entities from note text.
 
 This module alone decides what a surface string means: it holds the
-dimension vocabularies, and `normalize_value` reads one span string by the
-rules the grammar applies to a note.
+dimension vocabularies and the grammar that reads them in a note.
 
 The public tokenizer is reversible: tokens plus the whitespace between them
 reconstruct the input byte for byte, so character offsets stay valid no
@@ -16,7 +15,8 @@ its qualifier. It recognizes diagnosis statements (anchored by "D:", "Dx:",
 stage and grade markers, extent adjectives, and periodontium subtype
 phrases. Entity words of four or more letters tolerate a single-character
 typo. What a word means is read from one lexicon record per distinct
-token (`_lex`), built once from the `_LEXICON` tables.
+token (`_lex`), built once from the `_LEXICON` tables; a token is looked up
+by at most its first `_LEX_CHARS` characters.
 
 A note is read sentence by sentence: the sentence's anchors are found once,
 the grammar reads its spans (from the first anchor on, or whole), and
@@ -43,7 +43,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
-    FIELD_NAMES,
     MODES,
     _SPAN_SLOTS,
     _STATEMENT_SLOTS,
@@ -101,6 +100,10 @@ _LEXICON: dict[str, dict] = {
 #: The offline typo injector rejects a typo within one edit of any of them
 #: but its source word, so a typo always resolves back to that word.
 GRAMMAR_WORDS = tuple(w for words in _LEXICON.values() for w in words if len(w) >= 4)
+# A token over one character longer than the longest grammar word matches none
+# (`str.lower` never shortens a string), and nor does its prefix of this length:
+# `_lex` is passed no more, so its memo pins no long token.
+_LEX_CHARS = max(map(len, GRAMMAR_WORDS)) + 2
 
 # Hedge cues, matched as whole words: "unlikely" is not "likely".
 _HEDGE_RE = re.compile(
@@ -252,27 +255,6 @@ def _match_subtype(text: str, words: list[re.Match], lexes: list[Lex], i: int):
     return None, j  # bare "reduced periodontium": consume, no value
 
 
-def normalize_value(dimension: Dimension, raw_text: str):
-    """The value one span string denotes under the grammar's rules, or None.
-
-    Stages are roman I-IV or arabic 1-4, grades a letter, in any case. Words
-    match as in a note, one edit allowed in a word of four or more letters;
-    a subtype phrase may use the connectors the grammar skips ("with", "on
-    a", ",", ...) and must cover the string from its first to its last character.
-    """
-    if not isinstance(dimension, Dimension):
-        raise ValueError(f"unknown dimension {dimension!r}")
-    raw = raw_text.strip().lower()
-    if not raw:
-        return None
-    if dimension is Dimension.SUBTYPE:
-        words = list(_WORD_RE.finditer(raw))
-        lexes = [_lex(word.group()) for word in words]
-        sub = _match_subtype(raw, words, lexes, 0) if words and words[0].start() == 0 else None
-        return sub[0] if sub and words[sub[1]].end() == len(raw) else None
-    return getattr(_lex(raw), FIELD_NAMES[dimension])
-
-
 def _token_span(dimension: Dimension, value, word: re.Match) -> EntitySpan:
     return EntitySpan(dimension, value, word.start(), word.end(), word.group())
 
@@ -325,7 +307,7 @@ def _read_word(
 def _initial_trigger(sentence_text: str) -> bool:
     """Does the sentence open with a diagnosis phrase? Reads only its first two words."""
     for m in islice(_WORD_RE.finditer(sentence_text), 2):
-        lex = _lex(m.group())
+        lex = _lex(m.group()[:_LEX_CHARS])
         if lex.opens or _status(lex, sentence_text) is not None:
             return True
     return False
@@ -339,7 +321,7 @@ def _anchors(text: str, passage: re.Match) -> list[re.Match]:
     stop = max(text.rfind(":", pos, end), text.rfind("-", pos, end)) + 1
     if not stop:
         return []
-    return [m for m in _ANCHOR_RE.finditer(text, pos, stop) if _lex(m.group(1)).anchor]
+    return [m for m in _ANCHOR_RE.finditer(text, pos, stop) if _lex(m.group(1)[:_LEX_CHARS]).anchor]
 
 
 def _read_sentence(text: str, informal: bool, passage: re.Match, anchors: list) -> list[EntitySpan]:
@@ -357,7 +339,7 @@ def _read_sentence(text: str, informal: bool, passage: re.Match, anchors: list) 
     elif not _initial_trigger(sentence_text):
         return []
     words = list(_WORD_RE.finditer(text, start, end))
-    lexes = [_lex(word.group()) for word in words]
+    lexes = [_lex(word.group()[:_LEX_CHARS]) for word in words]
     spans, span, i = [], None, 0
     while i < len(words):
         after_stage = span is not None and span.dimension is Dimension.STAGE
@@ -372,7 +354,7 @@ def _heads(text: str, extent: EntitySpan, head: EntitySpan) -> bool:
     """Does the extent head this span: only skip adjectives, then its own marker, in between?"""
     gap = _WORD_RE.findall(text, extent.end, head.start)
     marker = {Dimension.STAGE: "stage_marker", Dimension.GRADE: "grade_marker"}.get(head.dimension)
-    if gap and marker and getattr(_lex(gap[-1]), marker):
+    if gap and marker and getattr(_lex(gap[-1][:_LEX_CHARS]), marker):
         gap.pop()
     return head.dimension is not Dimension.SUBTYPE and {w.lower() for w in gap} <= _HEAD_SKIP_WORDS
 

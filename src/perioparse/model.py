@@ -175,10 +175,6 @@ def validate_record(record: DiagnosisRecord) -> list[str]:
     ]
 
 
-def is_valid_record(record: DiagnosisRecord) -> bool:
-    return not validate_record(record)
-
-
 @functools.cache
 def field_values(record: DiagnosisRecord) -> tuple[str | None, ...]:
     """A record's field values as strings in `DIMENSIONS` order, None where a field is blank.

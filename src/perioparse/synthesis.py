@@ -38,7 +38,7 @@ from .model import (
     Extent,
     PeriodontalStatus,
     Subtype,
-    is_valid_record,
+    validate_record,
 )
 
 
@@ -446,7 +446,7 @@ def compose_note(
     provenance: Provenance = Provenance.OFFLINE_GENERATED,
 ) -> AnnotatedNote:
     """Render one synthetic note with ground-truth spans; the given record is its gold."""
-    assert is_valid_record(record), "compose_note requires a valid record"
+    assert not validate_record(record), "compose_note requires a valid record"
     intro = rng.sample(_INTRO_POOL, rng.randint(1, 2))
     outro = rng.sample(_OUTRO_POOL, rng.randint(0, 2))
 

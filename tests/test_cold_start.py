@@ -114,13 +114,9 @@ PUBLIC_NAMES = {
     ],
     "evaluation": [
         "NA", "ClassMetrics", "ConfusionMatrix", "LearningCurve", "MetricsTable", "averages",
-        "build_confusion", "class_metrics", "detect_stabilization", "evaluate_corpus",
-        "evaluate_records", "learning_curve",
+        "evaluate_corpus", "learning_curve",
     ],
-    "extraction": [
-        "Token", "diagnose", "extract_entities", "extract_statements", "group_statements",
-        "normalize_value", "tokenize",
-    ],
+    "extraction": ["Token", "diagnose", "extract_statements", "group_statements", "tokenize"],
     "llm": ["ConfigurationError", "GenerationError", "generate_llm"],
     "model": [
         "DiagnosisRecord", "Dimension", "EntitySpan", "Extent", "Grade", "GuidelineVersion",
@@ -140,7 +136,7 @@ DEFINED = {
 
 
 def test_the_package_exports_each_public_name_from_its_module():
-    assert len(DEFINED) == 61
+    assert len(DEFINED) == 55
     assert sorted(perioparse.__all__) == sorted(DEFINED)
     assert len(set(perioparse.__all__)) == len(perioparse.__all__)
     for name, obj in DEFINED.items():

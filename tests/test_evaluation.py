@@ -17,7 +17,6 @@ from perioparse.evaluation import (
     detect_stabilization,
     dimension_classes,
     evaluate_corpus,
-    evaluate_records,
     learning_curve,
 )
 from perioparse.model import (
@@ -36,12 +35,22 @@ P = PeriodontalStatus.PERIODONTITIS
 FULL = DiagnosisRecord(P, Stage.III, Grade.B, Extent.GENERALIZED)
 
 
+def _corpus(records, site):
+    return [AnnotatedNote(note=Note(nid, site, "x"), record=r) for nid, r in records.items()]
+
+
+def evaluate_site(gold, pred, site="site1"):
+    """`evaluate_corpus` on one site's gold and predicted records, keyed by note id."""
+    [(matrices, table)] = evaluate_corpus(_corpus(gold, site), _corpus(pred, site)).values()
+    return matrices, table
+
+
 # --------------------------------------------------------------------------
 # one note's label pairs
 
 def _label_pairs(gold, pred):
     """Each dimension's one (gold, predicted) label pair, read from a one-note corpus's matrices."""
-    matrices, _ = evaluate_records({"n-0": gold}, {"n-0": pred})
+    matrices, _ = evaluate_site({"n-0": gold}, {"n-0": pred})
     pairs = {}
     for dimension, matrix in matrices.items():
         [(pair, count)] = matrix.counts.items()
@@ -72,7 +81,7 @@ def test_an_illegal_record_is_labelled_by_its_fields():
     bad = DiagnosisRecord(PeriodontalStatus.GINGIVITIS, stage=Stage.I)  # gingivitis has no stage
     assert evaluation._labels(bad)[DIMENSIONS.index(Dimension.STAGE)] == "I"
     assert _label_pairs(bad, None)[Dimension.STAGE] == ("I", NA)
-    matrices, _ = evaluate_records({"a": bad}, {"a": bad})
+    matrices, _ = evaluate_site({"a": bad}, {"a": bad})
     assert matrices[Dimension.STAGE].counts == {("I", "I"): 1}
 
 
@@ -276,10 +285,10 @@ def test_note_order_does_not_change_metrics():
     for i in range(40):
         gold[f"n-{i}"] = rng.choice([FULL, DiagnosisRecord(P, Stage.I), None])
         pred[f"n-{i}"] = rng.choice([FULL, DiagnosisRecord(P, Stage.I), None])
-    _, table1 = evaluate_records(gold, pred)
+    _, table1 = evaluate_site(gold, pred)
     shuffled_ids = list(gold)
     rng.shuffle(shuffled_ids)
-    _, table2 = evaluate_records(
+    _, table2 = evaluate_site(
         {k: gold[k] for k in shuffled_ids}, {k: pred[k] for k in shuffled_ids}
     )
     assert table1 == table2
@@ -287,12 +296,12 @@ def test_note_order_does_not_change_metrics():
 
 def test_mismatched_id_sets_rejected():
     with pytest.raises(ValueError, match="n-2"):
-        evaluate_records({"n-1": FULL, "n-2": FULL}, {"n-1": FULL})
+        evaluate_site({"n-1": FULL, "n-2": FULL}, {"n-1": FULL})
 
 
 def test_perfect_predictions_score_one_everywhere():
     gold = {f"n-{i}": FULL for i in range(10)}
-    matrices, table = evaluate_records(gold, dict(gold))
+    matrices, table = evaluate_site(gold, dict(gold))
     for dm in table.dimensions:
         if dm.weighted is None:
             continue
@@ -503,7 +512,7 @@ def test_evaluate_corpus_scores_each_site_like_evaluate_records(notes, seed):
     pred_records = {n.note.note_id: n.record for n in pred}
     for site, (matrices, table) in results.items():
         site_gold = {n.note.note_id: n.record for n in gold if n.note.site_id == site}
-        want_matrices, want_table = evaluate_records(
+        want_matrices, want_table = evaluate_site(
             site_gold, {nid: pred_records[nid] for nid in site_gold}, site
         )
         assert table.site == site

@@ -5,6 +5,7 @@ import string
 import time
 import tracemalloc
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,16 +24,17 @@ from perioparse.extraction import (
     extract_entities,
     extract_statements,
     group_statements,
-    normalize_value,
     reconstruct,
     tokenize,
     within_one_edit,
 )
 from perioparse.model import (
+    DiagnosisRecord,
     Dimension,
     EntitySpan,
     Extent,
     Grade,
+    GuidelineVersion,
     PeriodontalStatus,
     Stage,
     Subtype,
@@ -545,13 +547,17 @@ def test_grouping_the_grammars_spans_gives_its_statements(pieces, mode, rnd):
     ],
 )
 def test_grouping_predicted_spans_around_anchors(text, raws, statements):
-    # An anchor word ("Dx") reads as no value, so its span takes one a tagger might give it.
-    anchor_values = {_ST: PeriodontalStatus.PERIODONTITIS, _GR: Grade.A}
+    # A tagger's values; an anchor word ("Dx") reads as no value, so its span takes one
+    # a tagger might give it.
+    values = {
+        (_ST, "periodontitis"): P, (_ST, "gingivitis"): G, (_ST, "dx"): P, (_SG, "ii"): Stage.II,
+        (_GR, "b"): Grade.B, (_GR, "dx"): Grade.A, (_E, "generalized"): Extent.GENERALIZED,
+    }
     spans, cursor = [], 0
     for dimension, raw in raws:
         start = text.index(raw, cursor)
         cursor = start + len(raw)
-        value = normalize_value(dimension, raw) or anchor_values[dimension]
+        value = values[dimension, raw.lower()]
         spans.append(EntitySpan(dimension, value, start, cursor, raw))
     got = group_statements(text, spans[::-1])
     assert [[s.raw_text for s in st.spans] for st in got] == statements
@@ -606,6 +612,25 @@ def test_word_memo_stays_bounded_on_many_distinct_words():
     assert time.monotonic() - start < 2.0
     info = extraction._lex.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize(
+    "notes, template, length",
+    [(40, "D: {} x.", 100_000), (20, "{}: Stage II.", 50_000)],
+    ids=["value-word", "anchor-word"],
+)
+def test_word_memo_pins_no_long_word(notes, template, length):
+    # Each note holds one distinct long word, read as a value and as a possible
+    # anchor. A memo keyed by whole words kept them all: 4.0 and 1.0 MB traced.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for letter in string.ascii_letters[:notes]:
+            extract_statements(template.format(letter * length), "informal")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 200_000
 
 
 def _cold_read(text, mode):
@@ -747,6 +772,15 @@ def test_extract_statements_calls_per_note_are_bounded(mode):
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         extract_entities("x", mode="fuzzy")
+
+
+def test_the_readme_library_example_reads_as_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["record"] == DiagnosisRecord(P, Stage.I, Grade.A, Extent.LOCALIZED)
+    assert namespace["version"] is GuidelineVersion.CURRENT_2018
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from perioparse.model import (
     Stage,
     Statement,
     Subtype,
-    is_valid_record,
     join,
     legalized,
     span_violations,
@@ -132,7 +131,7 @@ def test_validate_record_full_product_against_legality_predicate():
                 for extent in (None, *Extent):
                     for subtype in (None, *Subtype):
                         record = DiagnosisRecord(status, stage, grade, extent, subtype)
-                        assert is_valid_record(record) == legal(
+                        assert (validate_record(record) == []) == legal(
                             status, stage, grade, extent, subtype
                         )
                         set_fields = dict(stage=stage, grade=grade, extent=extent,
@@ -144,7 +143,7 @@ def test_validate_record_full_product_against_legality_predicate():
                         kept = legalized(status, stage, grade, extent, subtype)
                         inputs += 1
                         assert id(kept) in shared  # one shared instance per legal record
-                        assert is_valid_record(kept)
+                        assert not validate_record(kept)
                         assert kept == DiagnosisRecord(
                             status,
                             stage if status is P else None,

@@ -4,13 +4,13 @@ import io
 import json
 
 import pytest
+from test_evaluation import evaluate_site
 
 from perioparse.evaluation import (
     DimensionMetrics,
     MetricsTable,
     PRF,
     build_confusion,
-    evaluate_records,
 )
 from perioparse.model import (
     DIMENSIONS,
@@ -129,7 +129,7 @@ def test_json_report_shape_and_cross_format_consistency():
 
 def test_json_includes_class_rows_from_real_evaluation():
     gold = {f"n-{i}": DiagnosisRecord(P, Stage.II, Grade.A) for i in range(4)}
-    _, table = evaluate_records(gold, dict(gold), site="s")
+    _, table = evaluate_site(gold, dict(gold), site="s")
     payload = json.loads(render_report([table], "json"))
     stage_entry = next(e for e in payload if e["dimension"] == "Stage")
     ii = next(c for c in stage_entry["classes"] if c["value"] == "II")
@@ -169,7 +169,7 @@ def test_learning_curve_serialization():
 
 
 def scored_tables():
-    """Three sites scored by `evaluate_records`, so the JSON report carries class rows."""
+    """Three sites scored by `evaluate_corpus`, so the JSON report carries class rows."""
     G = PeriodontalStatus.GINGIVITIS
     gold = {
         "a": DiagnosisRecord(P, Stage.III, Grade.B, Extent.GENERALIZED),
@@ -183,10 +183,10 @@ def scored_tables():
         "c": DiagnosisRecord(G),
         "d": None,
     }
-    _, site1 = evaluate_records(gold, pred, site="Site 1")
-    _, site2 = evaluate_records(gold, gold, site="Site 2")
+    _, site1 = evaluate_site(gold, pred, site="Site 1")
+    _, site2 = evaluate_site(gold, gold, site="Site 2")
     # no gold stage, grade, extent or subtype: those averages are absent
-    _, site3 = evaluate_records({"e": DiagnosisRecord(G)}, {"e": gold["a"]}, site="Site 3")
+    _, site3 = evaluate_site({"e": DiagnosisRecord(G)}, {"e": gold["a"]}, site="Site 3")
     return [site1, site2, site3]
 
 

@@ -2,12 +2,14 @@ import itertools
 import json
 import random
 import re
+import string
 
 import pytest
 
+from perioparse import extraction
 from perioparse.corpus import AnnotatedNote, AnnotationSource, Note, Provenance, note_to_obj
 from perioparse.demo import demo_seed_notes, demo_seed_templates
-from perioparse.extraction import diagnose, extract_statements
+from perioparse.extraction import GRAMMAR_WORDS, diagnose, extract_statements, within_one_edit
 from perioparse.model import (
     LEGAL_RECORDS,
     DiagnosisRecord,
@@ -25,6 +27,7 @@ from perioparse.synthesis import (
     PerturbationSpec,
     SeedTemplate,
     TemplateSelectionError,
+    _TYPO_WORD_RE,
     _diagnosis_atoms,
     _render,
     _secondary_record,
@@ -413,6 +416,47 @@ def test_every_rendering_of_every_legal_record_reads_back():
             else:
                 assert got == record, text
     assert (reads, extent_dropped) == (10_720, 1_920)
+
+
+class _Pick:
+    """An rng stand-in whose every `choice` takes the item at one index."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def choice(self, items):
+        return items[self.index % len(items)]
+
+
+def _safe_typos(word):
+    """Every edit `_safe_typo` may return for `word`: each draw it keeps, and its fallback."""
+    low, typos = word.lower(), {word[:2] + word[1:]}
+    for pos in range(1, len(word)):
+        head, tail = word[:pos], word[pos + 1 :]
+        drawn = [head + tail, *(head + c + tail for c in string.ascii_lowercase),
+                 *(head + c + word[pos:] for c in string.ascii_lowercase)]
+        typos.update(
+            typo for typo in drawn if typo.lower() != low and not any(
+                w != low and within_one_edit(typo.lower(), w) for w in GRAMMAR_WORDS
+            )
+        )
+    return typos
+
+
+def test_every_typo_the_renderer_may_write_reads_as_its_word():
+    # `_inject_typo` corrupts one eligible word of a rendered diagnosis; every
+    # choice in `_diagnosis_atoms` is between at most two items, so two picks cover them.
+    words = set()
+    for record in LEGAL_RECORDS:
+        for style, index in itertools.product(_informal_styles(record), range(2)):
+            atoms = _diagnosis_atoms(record, "D:", style, False, _Pick(index))
+            eligible = [atom.text for atom in atoms if atom.typo_ok]
+            words.update(m.group() for text in eligible for m in _TYPO_WORD_RE.finditer(text))
+    assert len(words) == 12
+    lex = extraction._lex.__wrapped__
+    typos = [(word, typo) for word in sorted(words) for typo in _safe_typos(word)]
+    assert len(typos) == 4_643
+    assert [(word, typo) for word, typo in typos if lex(typo) != lex(word)] == []
 
 
 def test_rates_validated():
